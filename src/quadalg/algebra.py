@@ -405,7 +405,11 @@ def nonzero_vectors(field, n):
 
 
 def eigenvalue_set(A):
-    """The full eigenvalue set of the squaring operator, by exhaustion (finite field)."""
+    """The full eigenvalue set of the squaring operator, by exhaustion (finite field).
+
+    A pure-Python sweep of all q^n vectors with no enumeration budget: the
+    slow reference that ``classify_spectrum`` is tested against.
+    """
     F = A.field
     if not F.finite:
         raise UnsupportedField("exhaustive eigenvalue set needs a finite field")
@@ -420,33 +424,27 @@ def eigenvalue_set(A):
 def classify_spectrum(A, cfg=None):
     """Decide whether 0 and 1 are eigenvalues of the squaring operator.
 
-    Finite fields are swept exhaustively (certified).  Over the reals the
+    Over a finite field the witnesses are read off the nontrivial solutions
+    of ``solver.solve_exhaustive`` (certified), within the configured
+    enumeration budget: a larger P^n raises BudgetExceeded.  Over the reals the
     decision is delegated to targeted numeric searches and the report is
     flagged as uncertified.  Over the rationals only dimensions 1 and 2 are
     supported (exact elimination); larger rational problems are refused.
     """
     F = A.field
-    if F.finite:
-        idem = nil = None
-        for x in nonzero_vectors(F, A.dim):
-            sq = A.square(x)
-            if idem is None and _eq_vec(F, sq, x):
-                idem = x
-            if nil is None and is_zero_vector(F, sq):
-                nil = x
-            if idem is not None and nil is not None:
-                break
-        return SpectrumReport.from_witnesses(idem, nil, certified=True)
-    if isinstance(F, Reals):
-        from . import solver
-
-        cfg = cfg if cfg is not None else solver.SolveConfig()
-        idem = solver.find_idempotent_real(A, cfg)
-        nil = solver.find_absolute_nilpotent_real(A, cfg)
-        return SpectrumReport.from_witnesses(idem, nil, certified=False)
     if isinstance(F, Rationals):
         return _classify_rationals(A)
-    raise UnsupportedField(f"spectrum classification unsupported over {F!r}")
+    if not (F.finite or isinstance(F, Reals)):
+        raise UnsupportedField(f"spectrum classification unsupported over {F!r}")
+    from . import solver
+
+    cfg = cfg if cfg is not None else solver.SolveConfig()
+    if F.finite:
+        sols = solver.solve_exhaustive(solver.build_system(A), cfg)
+        return _report_from_solutions(A, sols)
+    idem = solver.find_idempotent_real(A, cfg)
+    nil = solver.find_absolute_nilpotent_real(A, cfg)
+    return SpectrumReport.from_witnesses(idem, nil, certified=False)
 
 
 def _classify_rationals(A):
@@ -472,8 +470,16 @@ def _classify_rationals(A):
         lam = eigencheck(A, x0)
         idem = rescale_to_canonical(A, x0, lam)
         return SpectrumReport.from_witnesses(idem, nil, certified=True)
+    return _report_from_solutions(A, res.solutions)
+
+
+def _report_from_solutions(A, sols):
+    """Certified report read off exact projective solutions (x : lam)."""
+    F = A.field
     idem = nil = None
-    for sol in res.solutions:
+    for sol in sols:
+        if sol.trivial:
+            continue
         x = sol.coords[:-1]
         lam = sol.coords[-1]
         if F.is_zero(lam):

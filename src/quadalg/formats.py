@@ -49,6 +49,15 @@ def algebra_to_json(A, provenance=None):
     return out
 
 
+def _is_cube(alpha, n):
+    """True when alpha is an n x n x n nested JSON array."""
+
+    def ok(v):
+        return isinstance(v, list) and len(v) == n
+
+    return ok(alpha) and all(ok(p) and all(ok(r) for r in p) for p in alpha)
+
+
 def algebra_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("algebra file must be a JSON object")
@@ -61,14 +70,14 @@ def algebra_from_json(obj):
         raise ParseError(f"bad dimension {n!r}")
     if "alpha" in obj:
         alpha = obj["alpha"]
-        if len(alpha) != n or any(
-            len(p) != n or any(len(r) != n for r in p) for p in alpha
-        ):
+        if not _is_cube(alpha, n):
             raise ParseError("alpha must be an n x n x n array")
         data = [
             [[F.scalar_from_json(a) for a in row] for row in plane] for plane in alpha
         ]
     elif "products" in obj:
+        if not isinstance(obj["products"], dict):
+            raise ParseError("products must be a JSON object")
         data = [[[F.zero()] * n for _ in range(n)] for _ in range(n)]
         for key, coords in obj["products"].items():
             m = _PRODUCT_KEY.match(key)

@@ -12,8 +12,9 @@ system and is called trivial; every nontrivial solution yields an
 eigenvector.  Engines:
 
 * ``solve_exhaustive``        -- sweep of P^n over a finite field (the oracle
-                                 engine; switches to a vectorized index
-                                 backend above a size threshold)
+                                 engine; the vectorized index backend of
+                                 ``ffenum`` wherever it can index the field,
+                                 a scalar loop otherwise)
 * ``solve_exact_dim2``        -- exact rational engine for n = 2 via the
                                  proportionality cubic
 * ``solve_real``              -- multistart damped Newton over the reals
@@ -50,10 +51,6 @@ from .fields import (
     finite_field,
     polynomial_roots,
 )
-
-# above this many projective points the index backend takes over
-FAST_PATH_THRESHOLD = 4096
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -298,14 +295,13 @@ def solve_exhaustive(S, cfg=None):
     total = projective_point_count(q, S.n)
     if total > cfg.enumeration_budget:
         raise BudgetExceeded(f"{total} projective points exceed budget {cfg.enumeration_budget}")
-    sols = None
-    if total > FAST_PATH_THRESHOLD and ffenum.supports(F):
+    if ffenum.supports(F):
         forms_idx = [
             {key: F.scalar_index(c) for key, c in form.items()} for form in S.forms
         ]
         rows = ffenum.solve_system(F, S.n, forms_idx)
         sols = [tuple(F.scalar_from_index(i) for i in row) for row in rows]
-    if sols is None:
+    else:
         sols = [pt for pt in projective_points(F, S.n) if S.is_solution(pt)]
     _verify_solutions(S, sols)
     zero = F.zero()
@@ -401,6 +397,11 @@ def _jac_v(S, x):
     return 2.0 * np.einsum("ikj,k->ji", S, x)
 
 
+def _random_unit(rng, n):
+    x = rng.normal(size=n)
+    return x / np.linalg.norm(x)
+
+
 def solve_real(A, cfg=None):
     """One eigenpair of a real algebra by multistart damped Newton.
 
@@ -428,48 +429,30 @@ def solve_real(A, cfg=None):
         J[n, :n] = 2.0 * x
         return J
 
+    def start(rng):
+        x = _random_unit(rng, n)
+        return np.concatenate([x, [x @ _v_of(S, x)]])
+
+    def accept(z):
+        nrm = np.linalg.norm(z[:n])
+        if nrm > 1e-12:
+            xu = z[:n] / nrm
+            lam_u = xu @ _v_of(S, xu)
+            res = np.linalg.norm(_v_of(S, xu) - lam_u * xu)
+            if res <= cfg.residual_tol:
+                coords = np.concatenate([xu, [lam_u]])
+                coords = coords / coords[int(np.argmax(np.abs(coords)))]
+                return ProjectiveSolution(
+                    tuple(float(c) for c in coords), trivial=False, residual=float(res)
+                )
+        return None
+
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.max_restarts):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        z = np.concatenate([x, [x @ _v_of(S, x)]])
-        for _ in range(cfg.max_newton_iter):
-            xn = z[:n]
-            nrm = np.linalg.norm(xn)
-            if nrm > 1e-12:
-                xu = xn / nrm
-                lam_u = xu @ _v_of(S, xu)
-                res = np.linalg.norm(_v_of(S, xu) - lam_u * xu)
-                if res <= cfg.residual_tol:
-                    return _real_solution(F, n, xu, lam_u, res)
-            H = aug_residual(z)
-            try:
-                delta = np.linalg.solve(aug_jacobian(z), -H)
-            except np.linalg.LinAlgError:
-                break
-            base = np.linalg.norm(H)
-            t = 1.0
-            while t > 1e-12:
-                z_new = z + t * delta
-                if np.linalg.norm(aug_residual(z_new)) < (1.0 - 1e-4 * t) * base:
-                    break
-                t *= 0.5
-            if t <= 1e-12:
-                break
-            z = z_new
-            if not np.all(np.isfinite(z)):
-                break
+    sol = _newton_multistart(start, aug_residual, aug_jacobian, rng, cfg, accept)
+    if sol is not None:
+        return sol
     raise SearchExhausted(
         f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
-    )
-
-
-def _real_solution(F, n, xu, lam_u, res):
-    coords = np.concatenate([xu, [lam_u]])
-    pivot = int(np.argmax(np.abs(coords)))
-    coords = coords / coords[pivot]
-    return ProjectiveSolution(
-        tuple(float(c) for c in coords), trivial=False, residual=float(res)
     )
 
 
@@ -483,11 +466,10 @@ def unit_eigenpair(A, sol):
     return x / s, sol.coords[n] / s
 
 
-def _newton_multistart(n, residual, jacobian, rng, cfg, accept):
-    """Shared damped-Newton loop over random starts; returns an accepted x or None."""
+def _newton_multistart(start, residual, jacobian, rng, cfg, accept):
+    """Damped Newton from start(rng) draws; returns the first accepted value or None."""
     for _ in range(cfg.max_restarts):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
+        x = start(rng)
         for _ in range(cfg.max_newton_iter):
             out = accept(x)
             if out is not None:
@@ -532,7 +514,7 @@ def find_idempotent_real(A, cfg=None):
 
     rng = np.random.default_rng(cfg.seed + 1)
     return _newton_multistart(
-        n,
+        lambda rng: _random_unit(rng, n),
         lambda x: _v_of(S, x) - x,
         lambda x: _jac_v(S, x) - np.eye(n),
         rng,
@@ -566,7 +548,9 @@ def find_absolute_nilpotent_real(A, cfg=None):
         return None
 
     rng = np.random.default_rng(cfg.seed + 2)
-    return _newton_multistart(n, residual, jacobian, rng, cfg, accept)
+    return _newton_multistart(
+        lambda rng: _random_unit(rng, n), residual, jacobian, rng, cfg, accept
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -478,20 +478,46 @@ def test_spectrum_rational_dim3_unsupported():
         classify_spectrum(zero_algebra(Q, 3))
 
 
+def _check_trichotomy(A):
+    # classify_spectrum against the exhaustive eigenvalue_set reference
+    F = A.field
+    full = set(F.elements())
+    want = {
+        SigmaDescription.EMPTY: set(),
+        SigmaDescription.ZERO_ONLY: {F.zero()},
+        SigmaDescription.ALL_NONZERO: full - {F.zero()},
+        SigmaDescription.ALL_OF_F: full,
+    }
+    rep = classify_spectrum(A)
+    assert rep.certified
+    assert eigenvalue_set(A) == want[rep.description]
+    for x in (rep.idempotent, rep.nilpotent):
+        assert x is None or not is_zero_vector(F, x)
+    assert rep.idempotent is None or is_idempotent(A, rep.idempotent)
+    assert rep.nilpotent is None or is_absolute_nilpotent(A, rep.nilpotent)
+    return rep
+
+
 def test_trichotomy_on_random_f5_algebras():
     rng = random.Random(23)
-    q = 5
-    full = set(range(q))
-    allowed = [set(), {0}, full - {0}, full]
     for _ in range(40):
-        A = random_structure_tensor(F5, 2, rng)
-        sigma = eigenvalue_set(A)
-        assert sigma in allowed
-        rep = classify_spectrum(A)
-        want = {
-            SigmaDescription.EMPTY: set(),
-            SigmaDescription.ZERO_ONLY: {0},
-            SigmaDescription.ALL_NONZERO: full - {0},
-            SigmaDescription.ALL_OF_F: full,
-        }[rep.description]
-        assert sigma == want
+        _check_trichotomy(random_structure_tensor(F5, 2, rng))
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_trichotomy_on_random_extension_field_algebras(q):
+    F = finite_field(q)
+    rng = random.Random(q)
+    for commutative in (True, False):
+        for _ in range(5):
+            _check_trichotomy(random_structure_tensor(F, 2, rng, commutative=commutative))
+
+
+@pytest.mark.parametrize(
+    "p,coeffs",
+    [(3, [-1, -1, 0, 1]), (5, [1, 1, 0, 1]), (5, [1, -1, 0, 0, 0, 1])],
+)
+def test_trichotomy_on_quotient_counterexamples(p, coeffs):
+    F = PrimeField(p)
+    A = counterexample_algebra(F, Polynomial(F, coeffs))
+    assert _check_trichotomy(A).description is SigmaDescription.EMPTY

@@ -179,6 +179,11 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert main(["check", str(bad), "[1,0]"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["check", str(missing), "[1,0]"]) == 2
+    for shape in ({"alpha": 5}, {"alpha": [[1, 2], [3, 4]]}, {"products": [1, 2]}):
+        formats.save_json(bad, {"field": {"kind": "prime", "p": 3}, "dim": 2, **shape})
+        assert main(["check", str(bad), "[1,0]"]) == 2
+        assert main(["solve", str(bad), "--engine", "exhaustive"]) == 2
+        assert main(["spectrum", str(bad)]) == 2
     capsys.readouterr()
 
 
@@ -202,6 +207,14 @@ def test_spectrum_nonempty_exits_zero(tmp_path, capsys):
     path = write_algebra(tmp_path, D)
     assert main(["spectrum", path]) == 0
     assert "AllNonzero" in capsys.readouterr().out
+
+
+def test_spectrum_budget_exceeded_exit_6(tmp_path, capsys):
+    # 3^40 vectors: the sweep is refused before it starts
+    path = tmp_path / "zero40.json"
+    formats.save_json(path, {"field": {"kind": "prime", "p": 3}, "dim": 40, "products": {}})
+    assert main(["spectrum", str(path)]) == 6
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

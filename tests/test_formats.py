@@ -90,6 +90,13 @@ def test_algebra_file_schema_errors():
         algebra_from_json(
             {"field": {"kind": "prime", "p": 3}, "dim": 2, "alpha": [[[0, 0]]]}
         )
+    base = {"field": {"kind": "prime", "p": 3}, "dim": 2}
+    for alpha in (5, [5, 5], [[5, 5], [5, 5]], "ab", [[[0, 0], [0, 0]], 7]):
+        with pytest.raises(ParseError):
+            algebra_from_json({**base, "alpha": alpha})
+    for products in ([1, 2], 5, "e1*e1"):
+        with pytest.raises(ParseError):
+            algebra_from_json({**base, "products": products})
 
 
 def test_element_round_trip():

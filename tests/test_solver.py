@@ -35,7 +35,6 @@ from quadalg import (
     unit_eigenpair,
     zero_algebra,
 )
-from quadalg import solver
 from quadalg.solver import draw_perturbation, normalize_point, projective_points
 
 Q = Rationals()
@@ -180,19 +179,27 @@ def test_exhaustive_rejects_infinite_fields():
         solve_exhaustive(build_system(zero_algebra(Q, 2)))
 
 
-def test_fast_and_pure_paths_agree(monkeypatch):
-    F25 = finite_field(25)
+def test_exhaustive_matches_scalar_reference():
+    # solve_exhaustive sweeps through the ffenum index backend; the scalar
+    # loop over projective_points is the independent reference
     rng = random.Random(53)
-    alpha = [
-        [[F25.random(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)
-    ]
-    A = StructureTensor(F25, alpha)
-    S = build_system(A)
-    monkeypatch.setattr(solver, "FAST_PATH_THRESHOLD", 10**9)
-    pure = [s.coords for s in solve_exhaustive(S)]
-    monkeypatch.setattr(solver, "FAST_PATH_THRESHOLD", 0)
-    fast = [s.coords for s in solve_exhaustive(S)]
-    assert pure == fast
+    cases = [(F, n) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
+    # the largest prime ffenum indexes: its products come close to 2^32
+    cases.append((PrimeField(65521), 1))
+    for F, n in cases:
+        systems = [build_system(zero_algebra(F, n))]
+        # the scalar reference takes seconds per full system over F_25 at
+        # n = 3, so that size checks the zero algebra (652 solutions) only
+        if (F.order, n) != (25, 3):
+            for commutative in (True, False):
+                A = random_structure_tensor(F, n, rng, commutative=commutative)
+                systems.append(build_system(A))
+            systems += [
+                perturb_system(S, *draw_perturbation(F, n, rng)) for S in systems
+            ]
+        for S in systems:
+            ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
+            assert [s.coords for s in solve_exhaustive(S)] == ref
 
 
 def test_scaling_invariance_of_solutions():
