@@ -4,10 +4,16 @@ Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases.  Multiplication uses
 discrete log/antilog tables against a fixed generator; addition works on a
-precomputed digit table.  Points of P^n are enumerated in canonical order
-(leftmost-nonzero-is-1, grouped by lead position, tails in mixed radix with
-the leftmost free digit most significant), matching the scalar enumeration
-in the solver module.
+precomputed digit table.
+
+The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
+x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
+the leftmost nonzero coordinate of x scaled to 1, lam = Q_lead(x).  So the
+sweep runs over the directions x in P^{n-1} only, derives lam, and appends
+the trivial point (0 : ... : 0 : 1).  Directions are enumerated in canonical
+order (leftmost-nonzero-is-1, grouped by lead position, tails in mixed radix
+with the leftmost free digit most significant), so the rows come out in the
+order of the canonical P^n enumeration in the solver module.
 """
 
 from functools import lru_cache
@@ -105,33 +111,45 @@ def _ops_cached(F):
 
 
 def solve_system(F, n, forms_idx):
-    """Index rows (length n+1) of all projective solutions, in canonical order."""
+    """Index rows (length n+1) of all projective solutions, in canonical order.
+
+    ``forms_idx[j]`` maps variable pairs to coefficient indices and must have
+    the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j (the keys
+    without variable n) is read.
+    """
     ops = _ops_cached(F)
     q = F.order
+    quad = [{key: c for key, c in form.items() if n not in key} for form in forms_idx]
     rows = []
-    for lead in range(n + 1):
-        m = n - lead
+    for lead in range(n):
+        m = n - 1 - lead
         count = q**m
         for start in range(0, count, _CHUNK):
             vals = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-            coords = []
-            for pos in range(n + 1):
-                if pos < lead:
-                    coords.append(np.zeros(len(vals), dtype=np.int64))
-                elif pos == lead:
-                    coords.append(np.ones(len(vals), dtype=np.int64))
-                else:
-                    t = pos - lead - 1
-                    coords.append((vals // q ** (m - 1 - t)) % q)
-            mask = np.ones(len(vals), dtype=bool)
-            for form in forms_idx:
+            # coordinates before the lead are zero, so terms touching them vanish
+            x = {lead: np.ones(len(vals), dtype=np.int64)}
+            for t in range(m):
+                x[lead + 1 + t] = (vals // q ** (m - 1 - t)) % q
+            values = []
+            for form in quad:
                 acc = np.zeros(len(vals), dtype=np.int64)
                 for (i, k), cidx in form.items():
-                    term = ops.mul(coords[i], coords[k])
-                    acc = ops.add(acc, ops.mul_scalar(cidx, term))
-                mask &= acc == 0
-                if not mask.any():
-                    break
+                    if i >= lead and k >= lead:
+                        term = ops.mul(x[i], x[k])
+                        acc = ops.add(acc, ops.mul_scalar(cidx, term))
+                values.append(acc)
+            lam = values[lead]
+            mask = np.ones(len(vals), dtype=bool)
+            for j, v in enumerate(values):
+                if j < lead:
+                    mask &= v == 0
+                elif j > lead:
+                    mask &= v == ops.mul(lam, x[j])
             for r in np.nonzero(mask)[0]:
-                rows.append(tuple(int(coords[pos][r]) for pos in range(n + 1)))
+                rows.append(
+                    (0,) * lead
+                    + tuple(int(x[pos][r]) for pos in range(lead, n))
+                    + (int(lam[r]),)
+                )
+    rows.append((0,) * n + (1,))
     return rows

@@ -941,6 +941,7 @@ def certify_irreducible(f):
     raise UnsupportedField(f"no irreducibility test over {F!r}")
 
 
+@lru_cache(maxsize=32)
 def finite_field(q):
     """GF(q) for a prime power q, with a deterministic canonical modulus."""
     if q < 2:

@@ -66,7 +66,7 @@ def algebra_from_json(obj):
         n = obj["dim"]
     except KeyError as exc:
         raise ParseError(f"algebra file misses key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"bad dimension {n!r}")
     if "alpha" in obj:
         alpha = obj["alpha"]

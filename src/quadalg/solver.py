@@ -11,10 +11,13 @@ The point (0 : ... : 0 : 1) always solves the unperturbed and perturbed
 system and is called trivial; every nontrivial solution yields an
 eigenvector.  Engines:
 
-* ``solve_exhaustive``        -- sweep of P^n over a finite field (the oracle
-                                 engine; the vectorized index backend of
-                                 ``ffenum`` wherever it can index the field,
-                                 a scalar loop otherwise)
+* ``solve_exhaustive``        -- sweep over a finite field (the oracle
+                                 engine): lam is eliminated, so it sweeps the
+                                 directions x in P^{n-1}, derives lam from
+                                 x, and appends the trivial point; the
+                                 vectorized index backend of ``ffenum``
+                                 wherever it can index the field, a scalar
+                                 loop otherwise
 * ``solve_exact_dim2``        -- exact rational engine for n = 2 via the
                                  proportionality cubic
 * ``solve_real``              -- multistart damped Newton over the reals
@@ -285,16 +288,38 @@ def _verify_solutions(S, sols):
             raise RuntimeError(f"engine returned a non-solution {pt!r}")
 
 
+def _require_eigen_form(S):
+    """Raise unless every form reads g_j = Q_j(x) - lam*x_j, lam-free Q_j."""
+    F, n = S.field, S.n
+    mone = F.neg(F.one())
+    for j, form in enumerate(S.forms):
+        lam_terms = {key: c for key, c in form.items() if n in key}
+        if lam_terms.keys() != {(j, n)} or not F.eq(lam_terms[(j, n)], mone):
+            raise ValueError(
+                f"form {j} must read Q_{j}(x) - lam*x_{j}: its lam terms must be "
+                f"exactly {{({j}, {n}): -1}}, got {lam_terms!r}"
+            )
+
+
 def solve_exhaustive(S, cfg=None):
-    """All projective solutions over a finite field, complete and duplicate-free."""
+    """All projective solutions over a finite field, complete and duplicate-free.
+
+    Sweeps the directions x in P^{n-1}, not all of P^n: each form must read
+    g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0 solves the system
+    exactly when Q(x) = lam*x, with lam = Q_lead(x) at the leftmost nonzero
+    coordinate of x (scaled to 1).  The trivial point (0 : ... : 0 : 1) comes
+    last; the order is that of ``projective_points(F, n)``.  The budget counts
+    the points swept, |P^{n-1}| + 1.
+    """
     cfg = cfg if cfg is not None else SolveConfig()
     F = S.field
     if not F.finite:
         raise UnsupportedField("exhaustive enumeration needs a finite field")
-    q = F.order
-    total = projective_point_count(q, S.n)
+    _require_eigen_form(S)
+    total = projective_point_count(F.order, S.n - 1) + 1
     if total > cfg.enumeration_budget:
         raise BudgetExceeded(f"{total} projective points exceed budget {cfg.enumeration_budget}")
+    zero = F.zero()
     if ffenum.supports(F):
         forms_idx = [
             {key: F.scalar_index(c) for key, c in form.items()} for form in S.forms
@@ -302,9 +327,14 @@ def solve_exhaustive(S, cfg=None):
         rows = ffenum.solve_system(F, S.n, forms_idx)
         sols = [tuple(F.scalar_from_index(i) for i in row) for row in rows]
     else:
-        sols = [pt for pt in projective_points(F, S.n) if S.is_solution(pt)]
+        sols = []
+        for x in projective_points(F, S.n - 1):
+            values = S.evaluate(x + (zero,))
+            lam = values[next(i for i, c in enumerate(x) if not F.is_zero(c))]
+            if all(F.eq(v, F.mul(lam, c)) for v, c in zip(values, x)):
+                sols.append(x + (lam,))
+        sols.append((zero,) * S.n + (F.one(),))
     _verify_solutions(S, sols)
-    zero = F.zero()
     return [
         ProjectiveSolution(pt, trivial=all(F.eq(c, zero) for c in pt[: S.n]))
         for pt in sols

@@ -21,6 +21,11 @@ def write_algebra(tmp_path, A, name="algebra.json"):
     return str(path)
 
 
+def _diagonal(n):
+    """alpha of the algebra with e_i * e_i = e_i and all other products zero."""
+    return [[[int(i == k == j) for j in range(n)] for k in range(n)] for i in range(n)]
+
+
 def complex_algebra_file(tmp_path):
     R = Reals()
     C = StructureTensor(R, [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
@@ -179,7 +184,12 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert main(["check", str(bad), "[1,0]"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["check", str(missing), "[1,0]"]) == 2
-    for shape in ({"alpha": 5}, {"alpha": [[1, 2], [3, 4]]}, {"products": [1, 2]}):
+    for shape in (
+        {"alpha": 5},
+        {"alpha": [[1, 2], [3, 4]]},
+        {"products": [1, 2]},
+        {"dim": True, "alpha": [[[0]]]},
+    ):
         formats.save_json(bad, {"field": {"kind": "prime", "p": 3}, "dim": 2, **shape})
         assert main(["check", str(bad), "[1,0]"]) == 2
         assert main(["solve", str(bad), "--engine", "exhaustive"]) == 2
@@ -266,8 +276,18 @@ def test_bezout_zero_algebra_positive_dimensional(tmp_path, capsys):
 
 
 def test_bezout_budget_exceeded_exit_6(tmp_path, capsys):
-    path = write_algebra(tmp_path, zero_algebra(PrimeField(5), 3))
+    # k = 1..3 complete; at k = 4 the sweep of P^3(F_625), 2.4e8 points,
+    # is refused before it starts
+    path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(4)))
     assert main(["bezout", path, "--kmax", "4"]) == 6
+    capsys.readouterr()
+
+
+def test_bezout_dim3_kmax4_completes(tmp_path, capsys):
+    path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(3)))
+    report = str(tmp_path / "bez.json")
+    assert main(["bezout", path, "--kmax", "4", "--out", report]) == 0
+    assert formats.load_json(report)["counts"] == {str(k): 8 for k in range(1, 5)}
     capsys.readouterr()
 
 

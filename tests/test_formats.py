@@ -90,6 +90,8 @@ def test_algebra_file_schema_errors():
         algebra_from_json(
             {"field": {"kind": "prime", "p": 3}, "dim": 2, "alpha": [[[0, 0]]]}
         )
+    with pytest.raises(ParseError):
+        algebra_from_json({"field": {"kind": "prime", "p": 3}, "dim": True, "alpha": [[[0]]]})
     base = {"field": {"kind": "prime", "p": 3}, "dim": 2}
     for alpha in (5, [5, 5], [[5, 5], [5, 5]], "ab", [[[0, 0], [0, 0]], 7]):
         with pytest.raises(ParseError):

@@ -133,6 +133,9 @@ def test_jacobian_check_detects_a_broken_system():
         F5, 2, [{k: v for k, v in f.items() if k[1] != 2} for f in S.forms]
     )
     assert not trivial_jacobian_check(broken)
+    # the lam-eliminating sweep refuses forms without the -lam*xi_j terms
+    with pytest.raises(ValueError, match="lam terms"):
+        solve_exhaustive(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,22 @@ def test_exhaustive_matches_scalar_reference():
             systems += [
                 perturb_system(S, *draw_perturbation(F, n, rng)) for S in systems
             ]
+        for S in systems:
+            ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
+            assert [s.coords for s in solve_exhaustive(S)] == ref
+
+
+def test_scalar_sweep_matches_scalar_reference(monkeypatch):
+    # the scalar branch serves fields ffenum cannot index; refusing every
+    # field sends small ones through it, against the full P^n reference
+    from quadalg import ffenum
+
+    monkeypatch.setattr(ffenum, "supports", lambda F: False)
+    rng = random.Random(61)
+    for F, n in [(F3, 1), (F3, 3), (F5, 2), (finite_field(9), 2)]:
+        A = random_structure_tensor(F, n, rng, commutative=False)
+        systems = [build_system(zero_algebra(F, n)), build_system(A)]
+        systems.append(perturb_system(systems[1], *draw_perturbation(F, n, rng)))
         for S in systems:
             ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
             assert [s.coords for s in solve_exhaustive(S)] == ref
