@@ -12,14 +12,19 @@ Subcommands
 Exit codes: 0 success (nontrivial solution / nonempty spectrum / generic
 verdict); 1 provably-none or none-found (the report's "certified" field
 tells which), empty spectrum, or positive-dimensional verdict; 2 parse
-error; 3 dimension mismatch; 4 engine/field mismatch or unsupported field;
-5 reducible or even-degree modulus; 6 enumeration budget exceeded.
+error or unreadable file; 3 dimension mismatch; 4 engine/field mismatch,
+unsupported field, or any other package error (characteristic two, a
+valuation violation, a division by zero, ...); 5 reducible or even-degree
+modulus; 6 enumeration budget exceeded (a sweep, or the q*(q+1) root search
+of ``witness`` over GF(q)); 7 internal error, with the traceback printed.
+Codes 0 and 1 come only from an engine run that completed.
 """
 
 import argparse
 import json
 import random
 import sys
+import traceback
 
 from . import algebra as alg
 from . import solver as sv
@@ -27,12 +32,11 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EvenOrTrivialDegree,
-    FieldMismatch,
     ParseError,
+    QuadAlgError,
     ReducibleModulus,
     SearchExhausted,
     UnsupportedField,
-    WrongDimension,
 )
 from .fields import (
     ExtensionField,
@@ -248,6 +252,13 @@ def cmd_witness(args):
         desc = "a^3 - 2"
     elif F.finite:
         q = F.order
+        # the root search evaluates the degree-q (q + 1 in characteristic 2)
+        # witness at all q elements
+        budget = sv.SolveConfig().enumeration_budget
+        if q * (q + 1) > budget:
+            raise BudgetExceeded(
+                f"witness root search over GF({q}) needs {q * (q + 1)} steps, over budget {budget}"
+            )
         if F.characteristic == 2:
             ints = [1, 0, -1] + [0] * (q - 2) + [1]
             desc = f"a^{q + 1} - a^2 + 1"
@@ -364,25 +375,28 @@ def build_parser():
     return parser
 
 
+# Exit code of each error family; the first match wins, and the last entry
+# gives every other package error a code as well.
+_EXIT_CODES = (
+    ((ParseError, OSError, json.JSONDecodeError), 2),
+    ((DimensionMismatch,), 3),
+    ((ReducibleModulus, EvenOrTrivialDegree), 5),
+    ((BudgetExceeded,), 6),
+    ((QuadAlgError,), 4),
+)
+INTERNAL_ERROR = 7
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (QuadAlgError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnsupportedField, FieldMismatch, WrongDimension) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ReducibleModulus, EvenOrTrivialDegree) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

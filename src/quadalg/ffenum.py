@@ -14,11 +14,12 @@ the trivial point (0 : ... : 0 : 1).  Directions are enumerated in canonical
 order (leftmost-nonzero-is-1, grouped by lead position, tails in mixed radix
 with the leftmost free digit most significant), so the rows come out in the
 order of the canonical P^n enumeration in the solver module.
+
+numpy is imported by the functions that use it, so importing this module (and
+the solver module, which imports it) does not load numpy.
 """
 
 from functools import lru_cache
-
-import numpy as np
 
 from .fields import ExtensionField, PrimeField
 
@@ -53,6 +54,8 @@ class _PrimeOps:
 
 class _ExtOps:
     def __init__(self, F):
+        import numpy as np
+
         q = F.order
         p = F.base.p
         k = F.degree
@@ -76,10 +79,14 @@ class _ExtOps:
         self.p_pows = np.array([p**i for i in range(k)], dtype=np.int64)
 
     def mul(self, a, b):
+        import numpy as np
+
         out = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
 
     def mul_scalar(self, c, a):
+        import numpy as np
+
         if c == 0:
             return np.zeros_like(a)
         out = self.exp[(self.log[c] + self.log[a]) % (self.q - 1)]
@@ -117,6 +124,8 @@ def solve_system(F, n, forms_idx):
     the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j (the keys
     without variable n) is read.
     """
+    import numpy as np
+
     ops = _ops_cached(F)
     q = F.order
     quad = [{key: c for key, c in form.items() if n not in key} for form in forms_idx]

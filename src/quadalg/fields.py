@@ -35,19 +35,39 @@ from .errors import (
 )
 
 
+# The first 13 primes.  No composite below _MR_LIMIT is a strong pseudoprime
+# to all of them (Sorenson and Webster, Math. Comp. 86, 2017), so Miller-Rabin
+# on these bases decides primality exactly there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
-    """Trial-division primality test, adequate for desk-scale moduli."""
+    """Deterministic Miller-Rabin test, exact for n < 3.3e24.
+
+    Larger n raise ValueError: the fixed bases no longer decide there.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the primality test's range (< {_MR_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -220,6 +240,8 @@ class PrimeField(Field):
     finite = True
 
     def __init__(self, p):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise TypeError(f"GF(p) needs an int p, got {p!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -630,8 +652,8 @@ class LaurentSeries(Field):
             raise TypeError("base must be a Field")
         if not base.is_exact:
             raise UnsupportedField("Laurent series need an exact base")
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
+        if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
+            raise ValueError(f"precision must be an int >= 1, got {precision!r}")
         self.base = base
         self.precision = precision
 
@@ -753,7 +775,13 @@ class LaurentSeries(Field):
         return {"nu": a[0], "coeffs": [self.base.scalar_to_json(c) for c in a[1]]}
 
     def scalar_from_json(self, v):
-        if not isinstance(v, dict) or set(v) != {"nu", "coeffs"}:
+        if (
+            not isinstance(v, dict)
+            or set(v) != {"nu", "coeffs"}
+            or isinstance(v["nu"], bool)
+            or not isinstance(v["nu"], int)
+            or not isinstance(v["coeffs"], list)
+        ):
             raise ParseError(f"not a Laurent scalar: {v!r}")
         return self._norm(v["nu"], [self.base.scalar_from_json(c) for c in v["coeffs"]])
 

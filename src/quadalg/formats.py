@@ -17,8 +17,8 @@ with 1-based basis indices and unlisted products zero.  Extra keys such as
 import json
 import re
 
-from .algebra import StructureTensor
-from .errors import ParseError
+from .algebra import MAX_DIM, StructureTensor
+from .errors import DimensionMismatch, ParseError
 from .fields import field_from_json, field_to_json
 from .solver import ProjectiveSolution
 
@@ -68,6 +68,9 @@ def algebra_from_json(obj):
         raise ParseError(f"algebra file misses key {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"bad dimension {n!r}")
+    if n > MAX_DIM:
+        # before the n^3 table of the "products" form is allocated
+        raise DimensionMismatch(f"dimension {n} outside 1..{MAX_DIM}")
     if "alpha" in obj:
         alpha = obj["alpha"]
         if not _is_cube(alpha, n):
@@ -93,7 +96,7 @@ def algebra_from_json(obj):
                 data[i][k][j] = row[j]
     else:
         raise ParseError("algebra file needs 'alpha' or 'products'")
-    return StructureTensor(F, data, max_dim=max(n, 16))
+    return StructureTensor(F, data)
 
 
 def solution_report(field, engine, solutions, certified, infinite_family=False):

@@ -33,8 +33,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import ffenum
 from .algebra import StructureTensor, eigencheck
 from .errors import (
@@ -268,7 +266,8 @@ def trivial_jacobian_check(S):
 
 def projective_points(F, n):
     """Canonical representatives of P^n(F): leftmost nonzero coordinate is 1."""
-    elems = list(F.elements())
+    # P^0 is the single point (1), so its sweep must not list the field
+    elems = list(F.elements()) if n else []
     one, zero = F.one(), F.zero()
     for lead in range(n + 1):
         prefix = (zero,) * lead + (one,)
@@ -412,22 +411,34 @@ def solve_exact_dim2(A):
 # Real engine
 # ---------------------------------------------------------------------------
 
+# numpy is imported inside each function of the real engine, not at module
+# level, so the exact engines and the CLI commands that use only them run
+# without loading it.
+
 
 def _sym_array(A):
+    import numpy as np
+
     T = np.array(A.alpha, dtype=float)
     return 0.5 * (T + T.transpose(1, 0, 2))
 
 
 def _v_of(S, x):
+    import numpy as np
+
     return np.einsum("ikj,i,k->j", S, x, x)
 
 
 def _jac_v(S, x):
+    import numpy as np
+
     # d(Vx)_j / dx_i = 2 * sum_k S[i,k,j] x_k
     return 2.0 * np.einsum("ikj,k->ji", S, x)
 
 
 def _random_unit(rng, n):
+    import numpy as np
+
     x = rng.normal(size=n)
     return x / np.linalg.norm(x)
 
@@ -440,6 +451,8 @@ def solve_real(A, cfg=None):
     fixed seed.  A real eigenvector always exists for finite-dimensional real
     algebras, so exhausting the restarts signals a bug, not a math outcome.
     """
+    import numpy as np
+
     cfg = cfg if cfg is not None else SolveConfig()
     F = A.field
     if not isinstance(F, Reals):
@@ -488,6 +501,8 @@ def solve_real(A, cfg=None):
 
 def unit_eigenpair(A, sol):
     """Recover the unit-norm eigenpair (x, lam) from a projective real solution."""
+    import numpy as np
+
     n = A.dim
     x = np.array(sol.coords[:n], dtype=float)
     s = np.linalg.norm(x)
@@ -498,6 +513,8 @@ def unit_eigenpair(A, sol):
 
 def _newton_multistart(start, residual, jacobian, rng, cfg, accept):
     """Damped Newton from start(rng) draws; returns the first accepted value or None."""
+    import numpy as np
+
     for _ in range(cfg.max_restarts):
         x = start(rng)
         for _ in range(cfg.max_newton_iter):
@@ -529,6 +546,8 @@ def _newton_multistart(start, residual, jacobian, rng, cfg, accept):
 
 def find_idempotent_real(A, cfg=None):
     """Search for x with x*x = x; returns the element or None (not a nonexistence proof)."""
+    import numpy as np
+
     cfg = cfg if cfg is not None else SolveConfig()
     S = _sym_array(A)
     n = A.dim
@@ -555,6 +574,8 @@ def find_idempotent_real(A, cfg=None):
 
 def find_absolute_nilpotent_real(A, cfg=None):
     """Search for unit x with x*x = 0; returns the element or None."""
+    import numpy as np
+
     cfg = cfg if cfg is not None else SolveConfig()
     S = _sym_array(A)
     n = A.dim

@@ -1,7 +1,15 @@
 """CLI subcommands, exit codes, report files, and round trips."""
 
-import pytest
+import json
+import os
+import subprocess
+import sys
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quadalg import cli
 from quadalg.cli import main, parse_field_spec
 from quadalg.fields import (
     ExtensionField,
@@ -11,7 +19,7 @@ from quadalg.fields import (
     Reals,
     finite_field,
 )
-from quadalg import formats, zero_algebra, StructureTensor, random_structure_tensor
+from quadalg import errors, formats, zero_algebra, StructureTensor, random_structure_tensor
 import random
 
 
@@ -220,9 +228,9 @@ def test_spectrum_nonempty_exits_zero(tmp_path, capsys):
 
 
 def test_spectrum_budget_exceeded_exit_6(tmp_path, capsys):
-    # 3^40 vectors: the sweep is refused before it starts
-    path = tmp_path / "zero40.json"
-    formats.save_json(path, {"field": {"kind": "prime", "p": 3}, "dim": 40, "products": {}})
+    # |P^15(F_3)| + 1 = 21,523,361 points: the sweep is refused before it starts
+    path = tmp_path / "zero16.json"
+    formats.save_json(path, {"field": {"kind": "prime", "p": 3}, "dim": 16, "products": {}})
     assert main(["spectrum", str(path)]) == 6
     capsys.readouterr()
 
@@ -241,6 +249,13 @@ def test_witness_reports_rootless(spec, needle, tmp_path, capsys):
     assert main(["witness", "--field", spec, "--out", report]) == 0
     assert needle in capsys.readouterr().out
     assert formats.load_json(report)["rootless"] is True
+
+
+@pytest.mark.parametrize("spec", ["prime:1000000000000000003", "gf:4001"])
+def test_witness_budget_exceeded_exit_6(spec, capsys):
+    # q * (q + 1) root-search steps exceed the default budget of 1e7
+    assert main(["witness", "--field", spec]) == 6
+    assert "budget" in capsys.readouterr().err
 
 
 def test_witness_unsupported_field_exit_4(capsys):
@@ -327,3 +342,197 @@ def test_solution_report_round_trip_via_cli(tmp_path):
         F, obj["engine"], sols, certified=obj["certified"],
         infinite_family=obj["infinite_family"],
     ) == obj
+
+
+# ---------------------------------------------------------------------------
+# the error contract: every outcome has a documented exit code
+# ---------------------------------------------------------------------------
+
+
+def test_malformed_laurent_scalar_exit_2(tmp_path, capsys):
+    field = {"kind": "laurent", "base": {"kind": "rationals"}, "prec": 4}
+    path = tmp_path / "laurent.json"
+    formats.save_json(path, {"field": field, "dim": 1, "alpha": [[[{"nu": "x", "coeffs": [1]}]]]})
+    assert main(["check", str(path), "[1]"]) == 2
+    capsys.readouterr()
+
+
+def test_dimension_beyond_max_dim_exit_3(tmp_path, capsys):
+    path = tmp_path / "zero17.json"
+    formats.save_json(path, {"field": {"kind": "prime", "p": 3}, "dim": 17, "products": {}})
+    assert main(["check", str(path), json.dumps([0] * 17)]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (errors.CharTwo("x"), 4),
+        (errors.ValuationViolation("x"), 4),
+        (errors.DivisionByZero("x"), 4),
+        (errors.NotAnEigenvector("x"), 4),
+        (errors.NotNilpotentAtGivenOrder("x"), 4),
+        (errors.QuadAlgError("x"), 4),
+        (errors.ParseError("x"), 2),
+        (IsADirectoryError("x"), 2),
+        (errors.DimensionMismatch("x"), 3),
+        (errors.ReducibleModulus("x"), 5),
+        (errors.BudgetExceeded("x"), 6),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_package_errors_map_to_documented_codes(exc, code, monkeypatch, capsys):
+    def boom(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_field_spec", boom)
+    assert main(["witness", "--field", "prime:3"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_exit_7_with_traceback(monkeypatch, capsys):
+    def boom(spec):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "parse_field_spec", boom)
+    assert main(["witness", "--field", "prime:3"]) == cli.INTERNAL_ERROR == 7
+    assert "Traceback (most recent call last)" in capsys.readouterr().err
+
+
+# (field descriptor, strategy for its scalars)
+_VALID_FIELDS = [({"kind": "prime", "p": p}, st.integers(-3, 3)) for p in (2, 3, 5, 7)] + [
+    ({"kind": "rationals"}, st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))),
+    ({"kind": "real", "tol": 1e-8}, st.one_of(st.integers(-3, 3), st.floats(-2, 2))),
+    ({"kind": "ext", "p": 3, "modulus": [1, 0, 1]}, st.lists(st.integers(0, 2), max_size=2)),
+    (
+        {"kind": "laurent", "base": {"kind": "prime", "p": 3}, "prec": 4},
+        st.fixed_dictionaries({"nu": st.integers(-1, 2), "coeffs": st.lists(st.integers(0, 2), max_size=2)}),
+    ),
+]
+_BAD_FIELDS = st.sampled_from([
+    {"kind": "prime", "p": 4},
+    {"kind": "prime", "p": 5.0},
+    {"kind": "prime"},
+    {"kind": "octonions"},
+    "prime",
+    {"kind": "ext", "p": 3, "modulus": [1, 2, 1]},
+    {"kind": "real", "tol": "x"},
+    {"kind": "laurent", "base": {"kind": "rationals"}, "prec": 2.5},
+])
+_BAD_SCALARS = st.sampled_from(
+    ["x", "1/0", "", 1.5, True, None, [7], {"nu": "x", "coeffs": [1]}, {"nu": 0, "coeffs": 3}]
+)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """An algebra file (dim <= 3) and an element, with at most one fault."""
+    field, scalar = draw(st.sampled_from(_VALID_FIELDS))
+    n = draw(st.integers(1, 3))
+    fault = draw(st.sampled_from([None, None, None, "field", "dim", "scalar", "shape"]))
+    if fault == "scalar":
+        scalar = st.one_of(scalar, _BAD_SCALARS)
+    side = n + 1 if fault == "shape" else n
+    obj = {"field": draw(_BAD_FIELDS) if fault == "field" else field}
+    obj["dim"] = draw(st.sampled_from([0, n + 1, 17, "2", True])) if fault == "dim" else n
+    vec = st.lists(scalar, min_size=side, max_size=side)
+    if draw(st.booleans()):
+        obj["alpha"] = draw(st.lists(st.lists(vec, min_size=side, max_size=side), min_size=side, max_size=side))
+    else:
+        keys = st.sampled_from([f"e{i}*e{k}" for i in range(1, side + 1) for k in range(1, side + 1)])
+        obj["products"] = draw(st.dictionaries(keys, vec, max_size=3))
+    return obj, draw(vec)
+
+
+_COMMANDS = st.sampled_from([
+    ["solve", "{alg}", "--engine", "exhaustive"],
+    ["solve", "{alg}", "--engine", "exact2"],
+    ["solve", "{alg}", "--engine", "real", "--restarts", "3"],
+    ["spectrum", "{alg}", "--restarts", "3"],
+    ["bezout", "{alg}", "--kmax", "2"],
+    ["perturb", "{alg}", "--kmax", "1"],
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_inputs(), _COMMANDS)
+def test_fuzzed_files_exit_with_documented_codes(inputs, command):
+    """Exit 0/1 only after an engine completed and wrote its report; no crash."""
+    obj, element = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        alg = os.path.join(tmp, "a.json")
+        out = os.path.join(tmp, "report.json")
+        with open(alg, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        for argv in ([a.format(alg=alg) for a in command], ["check", alg, json.dumps(element)]):
+            code = main(argv + ["--out", out])
+            assert code in range(7), (argv, obj)
+            if code in (0, 1):
+                assert isinstance(formats.load_json(out), dict)
+                os.remove(out)
+            else:
+                assert not os.path.exists(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["field", "dim", "alpha", "products", "kind", "p"]),
+                                            inner, max_size=4)),
+    max_leaves=12,
+))
+def test_algebra_from_json_raises_only_package_errors(obj):
+    try:
+        formats.algebra_from_json(obj)
+    except errors.QuadAlgError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded only by commands that sweep or run Newton
+# ---------------------------------------------------------------------------
+
+
+_NUMPY_PROBE = """
+import json, sys
+import quadalg, quadalg.cli
+assert "numpy" not in sys.modules, "import quadalg.cli loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    code = quadalg.cli.main(argv)
+    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+"""
+
+
+def _numpy_after(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    ff = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(2)), "ff.json")
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, {"field": {"kind": "prime", "p": 3}, "dim": 2, "alpha": 5})
+    ce = str(tmp_path / "ce.json")
+    argvs = [
+        ["counterexample", "--field", "rationals", "--modulus=-2,0,0,1", "--out", ce],
+        ["solve", ce, "--engine", "exact2"],
+        ["spectrum", ce],
+        ["check", ff, "[1, 0]"],
+        ["witness", "--field", "gf:9"],
+        ["solve", str(bad), "--engine", "exhaustive"],
+    ]
+    got = _numpy_after(argvs)
+    assert [(cmd, code) for cmd, code, _ in got] == [
+        ("counterexample", 0), ("solve", 1), ("spectrum", 1), ("check", 0), ("witness", 0), ("solve", 2)
+    ]
+    assert not any(loaded for _, _, loaded in got)
+    # the probe can see an import: the finite-field sweep loads numpy
+    assert _numpy_after([["solve", ff, "--engine", "exhaustive"]]) == [["solve", 0, True]]

@@ -12,6 +12,7 @@ from quadalg import (
     LaurentSeries,
     NotInValuationRing,
     NotIntegerCoefficients,
+    ParseError,
     Polynomial,
     PrimeField,
     Rationals,
@@ -28,6 +29,7 @@ from quadalg import (
     polynomial_roots,
     residue_decompose,
 )
+from quadalg.fields import is_prime
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -275,6 +277,27 @@ def test_finite_field_constructor(q, char):
     assert len(set(map(F.scalar_index, F.elements()))) == q
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_decides_large_moduli():
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    for composite in (10**18 + 1, 3215031751):  # the latter: a strong pseudoprime to 2, 3, 5, 7
+        assert not is_prime(composite)
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+    # beyond the bound where the fixed bases are proven to decide
+    with pytest.raises(ValueError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
 def test_finite_field_rejects_non_prime_powers():
     with pytest.raises(ValueError):
         finite_field(6)
@@ -295,9 +318,29 @@ def test_rational_scalar_serialization():
     assert Q.scalar_from_json(5) == Fraction(5)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [{"kind": "prime", "p": 5.0}, {"kind": "prime", "p": True},
+     {"kind": "laurent", "base": {"kind": "rationals"}, "prec": 2.5}],
+)
+def test_descriptor_rejects_non_int_parameters(d):
+    with pytest.raises(ParseError):
+        field_from_json(d)
+
+
 def test_ext_descriptor_reduces_mod_p():
     F = field_from_json({"kind": "ext", "p": 3, "modulus": [-1, -1, 0, 1]})
     assert F == F27
+
+
+@pytest.mark.parametrize(
+    "v",
+    [{"nu": "x", "coeffs": [1]}, {"nu": True, "coeffs": [1]}, {"nu": 1.5, "coeffs": [1]},
+     {"nu": 0, "coeffs": 3}, {"nu": 0, "coeffs": "12"}, {"nu": 0}, [0, [1]]],
+)
+def test_laurent_scalar_from_json_rejects_malformed(v):
+    with pytest.raises(ParseError):
+        L.scalar_from_json(v)
 
 
 def test_laurent_scalar_serialization_round_trip():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadalg import (
+    DimensionMismatch,
     LaurentSeries,
     ParseError,
     Polynomial,
@@ -99,6 +100,11 @@ def test_algebra_file_schema_errors():
     for products in ([1, 2], 5, "e1*e1"):
         with pytest.raises(ParseError):
             algebra_from_json({**base, "products": products})
+    # a well-formed file beyond MAX_DIM = 16, in both forms
+    zero17 = [[[0] * 17 for _ in range(17)] for _ in range(17)]
+    for body in ({"alpha": zero17}, {"products": {}}, {"dim": 10**9, "products": {}}):
+        with pytest.raises(DimensionMismatch):
+            algebra_from_json({**base, "dim": 17, **body})
 
 
 def test_element_round_trip():

@@ -177,6 +177,15 @@ def test_exhaustive_budget_exceeded():
         solve_exhaustive(build_system(zero_algebra(F5, 3)), SolveConfig(enumeration_budget=10))
 
 
+def test_exhaustive_dim1_does_not_list_the_field(monkeypatch):
+    # P^0 is one point: sweeping it must not materialize GF(4000037)
+    F = PrimeField(4000037)
+    monkeypatch.setattr(F, "elements", lambda: pytest.fail("the P^0 sweep listed the field"))
+    sols = solve_exhaustive(build_system(StructureTensor(F, [[[2]]])), SolveConfig(enumeration_budget=2))
+    assert [s.coords for s in sols] == [(1, 2), (0, 1)]
+    assert list(projective_points(F, 0)) == [(1,)]
+
+
 def test_exhaustive_rejects_infinite_fields():
     with pytest.raises(UnsupportedField):
         solve_exhaustive(build_system(zero_algebra(Q, 2)))
