@@ -189,18 +189,6 @@ def is_zero_vector(field, x):
     return all(field.is_zero(c) for c in x)
 
 
-def multiply(A, x, y):
-    return A.multiply(x, y)
-
-
-def quadratic_operator(A, x):
-    return A.square(x)
-
-
-def symmetrize(A):
-    return A.symmetrize()
-
-
 def is_idempotent(A, x):
     """True when x*x = x.  The zero vector passes vacuously."""
     return _eq_vec(A.field, A.square(x), x)
@@ -450,27 +438,16 @@ def classify_spectrum(A, cfg=None):
 def _classify_rationals(A):
     from . import solver
 
-    F = A.field
     if A.dim == 1:
-        a = A.alpha[0][0][0]
-        if F.is_zero(a):
-            return SpectrumReport.from_witnesses(None, (F.one(),), certified=True)
-        return SpectrumReport.from_witnesses((F.inv(a),), None, certified=True)
-    if A.dim != 2:
+        # x*x = alpha*x for every x, so the one direction (1) has lam = alpha
+        sols = [solver.ProjectiveSolution((A.field.one(), A.alpha[0][0][0]), trivial=False)]
+    elif A.dim == 2:
+        # infinite family: the samples hold an axis with lam != 0 whenever
+        # lam is not identically 0, and the kernel of lam
+        sols = solver.solve_exact_dim2(A).solutions
+    else:
         raise UnsupportedField("rational spectrum classification needs dim <= 2")
-    res = solver.solve_exact_dim2(A)
-    if res.infinite_family:
-        # x*x = ell(x) * x for a linear form ell: read it off at the axes
-        u = A.square((F.one(), F.zero()))[0]
-        v = A.square((F.zero(), F.one()))[1]
-        if F.is_zero(u) and F.is_zero(v):
-            return SpectrumReport.from_witnesses(None, (F.one(), F.zero()), certified=True)
-        nil = (F.neg(v), u)
-        x0 = (F.one(), F.zero()) if not F.is_zero(u) else (F.zero(), F.one())
-        lam = eigencheck(A, x0)
-        idem = rescale_to_canonical(A, x0, lam)
-        return SpectrumReport.from_witnesses(idem, nil, certified=True)
-    return _report_from_solutions(A, res.solutions)
+    return _report_from_solutions(A, sols)
 
 
 def _report_from_solutions(A, sols):

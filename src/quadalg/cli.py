@@ -1,23 +1,28 @@
 """Command-line surface for scripted verification runs.
 
-Subcommands
+Subcommands, with the tuning flags each one reads (every one also takes
+``--out``, the path of its JSON report)
     check           classify one element of an algebra file
-    solve           run an eigenvector engine (exhaustive | exact2 | real)
-    spectrum        decide membership of 0 and 1 in the eigenvalue set
+    solve           run an eigenvector engine (exhaustive | exact2 | real);
+                    --tol, --restarts, --seed for the real engine
+    spectrum        decide membership of 0 and 1 in the eigenvalue set;
+                    --tol, --restarts, --seed for real algebras
     counterexample  emit the quotient algebra of an odd-degree irreducible modulus
     witness         emit and verify the rootless odd-degree witness polynomial
-    bezout          distinct solution counts over extension fields + verdict
-    perturb         random quadratic perturbation, then the counting probe
+    bezout          distinct solution counts over extension fields + verdict; --kmax
+    perturb         random quadratic perturbation, then the counting probe;
+                    --seed, --kmax
 
 Exit codes: 0 success (nontrivial solution / nonempty spectrum / generic
 verdict); 1 provably-none or none-found (the report's "certified" field
 tells which), empty spectrum, or positive-dimensional verdict; 2 parse
-error or unreadable file; 3 dimension mismatch; 4 engine/field mismatch,
-unsupported field, or any other package error (characteristic two, a
-valuation violation, a division by zero, ...); 5 reducible or even-degree
-modulus; 6 enumeration budget exceeded (a sweep, or the q*(q+1) root search
-of ``witness`` over GF(q)); 7 internal error, with the traceback printed.
-Codes 0 and 1 come only from an engine run that completed.
+error, unreadable file, or a flag the command does not take; 3 dimension
+mismatch; 4 engine/field mismatch, unsupported field, or any other package
+error (characteristic two, a valuation violation, a division by zero, ...);
+5 reducible or even-degree modulus; 6 enumeration budget exceeded (a sweep,
+the q*(q+1) root search of ``witness`` over GF(q), or a rational root
+search); 7 internal error, with the traceback printed.  Codes 0 and 1 come
+only from an engine run that completed.
 """
 
 import argparse
@@ -39,6 +44,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
+    ENUMERATION_BUDGET,
     ExtensionField,
     LaurentSeries,
     Polynomial,
@@ -115,16 +121,10 @@ def _emit(report, out):
 
 
 def _config(args):
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["residual_tol"] = args.tol
-    if getattr(args, "restarts", None) is not None:
-        kwargs["max_restarts"] = args.restarts
-    if getattr(args, "kmax", None) is not None:
-        kwargs["k_max"] = args.kmax
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return sv.SolveConfig(**kwargs)
+    """A SolveConfig with the tuning flags this command was given."""
+    names = {"tol": "residual_tol", "restarts": "max_restarts", "kmax": "k_max", "seed": "seed"}
+    given = {field: getattr(args, flag, None) for flag, field in names.items()}
+    return sv.SolveConfig(**{field: v for field, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +254,10 @@ def cmd_witness(args):
         q = F.order
         # the root search evaluates the degree-q (q + 1 in characteristic 2)
         # witness at all q elements
-        budget = sv.SolveConfig().enumeration_budget
-        if q * (q + 1) > budget:
+        if q * (q + 1) > ENUMERATION_BUDGET:
             raise BudgetExceeded(
-                f"witness root search over GF({q}) needs {q * (q + 1)} steps, over budget {budget}"
+                f"witness root search over GF({q}) needs {q * (q + 1)} steps, "
+                f"over budget {ENUMERATION_BUDGET}"
             )
         if F.characteristic == 2:
             ints = [1, 0, -1] + [0] * (q - 2) + [1]
@@ -318,6 +318,15 @@ def cmd_perturb(args):
 # ---------------------------------------------------------------------------
 
 
+# The tuning flags, each given only to the commands whose engines read it.
+_OPTIONS = {
+    "--tol": {"type": float, "help": "real-engine residual tolerance"},
+    "--restarts": {"type": int, "help": "real-engine restart budget"},
+    "--seed": {"type": int, "help": "random seed (default 0)"},
+    "--kmax": {"type": int, "help": "extension-count depth"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quadalg",
@@ -326,13 +335,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p, *flags):
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--tol", type=float, help="real-engine residual tolerance")
-        p.add_argument("--restarts", type=int, help="real-engine restart budget")
-        p.add_argument("--kmax", type=int, help="extension-count depth")
-        if seed:
-            p.add_argument("--seed", type=int, help="random seed (default 0)")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
 
     p = sub.add_parser("check", help="classify one element of an algebra")
     p.add_argument("algebra", help="algebra JSON file")
@@ -343,12 +349,12 @@ def build_parser():
     p = sub.add_parser("solve", help="find projective solutions of the eigenvector system")
     p.add_argument("algebra")
     p.add_argument("--engine", choices=("exhaustive", "exact2", "real"), required=True)
-    add_common(p)
+    add_common(p, "--tol", "--restarts", "--seed")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("spectrum", help="membership of 0 and 1 in the eigenvalue set")
     p.add_argument("algebra")
-    add_common(p)
+    add_common(p, "--tol", "--restarts", "--seed")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("counterexample", help="quotient algebra with empty spectrum")
@@ -364,12 +370,12 @@ def build_parser():
 
     p = sub.add_parser("bezout", help="solution counts over extension fields")
     p.add_argument("algebra")
-    add_common(p)
+    add_common(p, "--kmax")
     p.set_defaults(func=cmd_bezout)
 
     p = sub.add_parser("perturb", help="random perturbation, then the counting probe")
     p.add_argument("algebra")
-    add_common(p)
+    add_common(p, "--seed", "--kmax")
     p.set_defaults(func=cmd_perturb)
 
     return parser

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .fields import ExtensionField, PrimeField
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 _MAX_ORDER = 1 << 16
 
 
@@ -45,8 +45,7 @@ class _PrimeOps:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def mul_scalar(self, c, a):
-        return (c * a) % self.p
+    mul_scalar = mul
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -59,12 +58,21 @@ class _ExtOps:
         q = F.order
         p = F.base.p
         k = F.degree
-        gen = F.scalar_from_index(_find_generator(F))
-        exp = np.empty(q - 1, dtype=np.int64)
-        acc = F.one()
-        for e in range(q - 1):
-            exp[e] = F.scalar_index(acc)
-            acc = F.mul(acc, gen)
+        one = F.one()
+        # the first element in index order whose powers reach all of F^*
+        # is the generator, and its powers are the antilog table
+        for cand in range(2, q):
+            g = F.scalar_from_index(cand)
+            powers = [one]
+            acc = g
+            while acc != one:
+                powers.append(acc)
+                acc = F.mul(acc, g)
+            if len(powers) == q - 1:
+                break
+        else:
+            raise RuntimeError("no generator found (not a field?)")
+        exp = np.array([F.scalar_index(a) for a in powers], dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         idx = np.arange(q, dtype=np.int64)
@@ -94,20 +102,6 @@ class _ExtOps:
 
     def add(self, a, b):
         return ((self.digits[a] + self.digits[b]) % self.p) @ self.p_pows
-
-
-def _find_generator(F):
-    q = F.order
-    for idx in range(2, q):
-        g = F.scalar_from_index(idx)
-        acc = g
-        order = 1
-        while acc != F.one():
-            acc = F.mul(acc, g)
-            order += 1
-        if order == q - 1:
-            return idx
-    raise RuntimeError("no generator found (not a field?)")
 
 
 @lru_cache(maxsize=32)

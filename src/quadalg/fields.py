@@ -20,10 +20,12 @@ function, so anything here may be shared freely across threads or workers.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     DivisionByZero,
     FieldMismatch,
     NotInValuationRing,
@@ -40,6 +42,10 @@ from .errors import (
 # on these bases decides primality exactly there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# Steps any one enumeration may take: a sweep's points, the witness root
+# search's evaluations, the rational root search's trial divisions.
+ENUMERATION_BUDGET = 10_000_000
 
 
 def is_prime(n):
@@ -712,9 +718,6 @@ class LaurentSeries(Field):
             out.append(self.base.neg(self.base.mul(c0inv, acc)))
         return self._norm(-a[0], out)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def zero(self):
         return (0, ())
 
@@ -900,25 +903,21 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _monic_irreducibles(field, degree):
+    """Monic irreducible coefficient tuples of the given degree, in enumeration order."""
+    elems = list(field.elements())
+    for rev in itertools.product(elems, repeat=degree):
+        coeffs = list(rev) + [field.one()]
+        if _is_irreducible_finite(field, coeffs):
+            yield tuple(coeffs)
+
+
 @lru_cache(maxsize=None)
 def monic_irreducibles(field, degree):
     """All monic irreducible coefficient tuples of the given degree (finite field)."""
     if not field.finite:
         raise UnsupportedField("irreducible enumeration needs a finite field")
-    out = []
-    elems = list(field.elements())
-    for rev in itertools.product(elems, repeat=degree):
-        coeffs = list(rev) + [field.one()]
-        if _is_irreducible_finite(field, coeffs):
-            out.append(tuple(coeffs))
-    return tuple(out)
-
-
-def _has_root_finite(field, coeffs):
-    for a in field.elements():
-        if field.is_zero(_peval(field, coeffs, a)):
-            return True
-    return False
+    return tuple(_monic_irreducibles(field, degree))
 
 
 def _is_irreducible_finite(field, coeffs):
@@ -927,7 +926,7 @@ def _is_irreducible_finite(field, coeffs):
         return False
     if d == 1:
         return True
-    if _has_root_finite(field, coeffs):
+    if any(field.is_zero(_peval(field, coeffs, a)) for a in field.elements()):
         return False
     if d <= 3:
         return True
@@ -969,68 +968,47 @@ def certify_irreducible(f):
     raise UnsupportedField(f"no irreducibility test over {F!r}")
 
 
+def _iroot(n, k):
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 @lru_cache(maxsize=32)
 def finite_field(q):
     """GF(q) for a prime power q, with a deterministic canonical modulus."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while q % p != 0:
-        p += 1
-        if p * p > q:
-            p = q
+    # q = p^k has k <= log2(q); the largest k with an integer k-th root comes first
+    for k in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, k)
+        if p**k == q and is_prime(p):
             break
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1 or not is_prime(p):
+    else:
         raise ValueError(f"{q} is not a prime power")
     base = PrimeField(p)
     if k == 1:
         return base
-    modulus = monic_irreducible(base, k)
-    return ExtensionField(base, modulus)
-
-
-def monic_irreducible(field, degree):
-    """First monic irreducible of the given degree in enumeration order."""
-    elems = list(field.elements())
-    for rev in itertools.product(elems, repeat=degree):
-        coeffs = list(rev) + [field.one()]
-        if _is_irreducible_finite(field, coeffs):
-            return Polynomial(field, coeffs)
-    raise ReducibleModulus(f"no irreducible of degree {degree} over {field!r}")
+    # the first monic irreducible in enumeration order (one of every degree exists)
+    return ExtensionField(base, next(_monic_irreducibles(base, k)))
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations on scalars and polynomials
+# Root search and Eisenstein's criterion
 # ---------------------------------------------------------------------------
 
-_ARITH_OPS = frozenset({"add", "sub", "mul", "div", "neg", "inv"})
-
-
-def field_arith(field, op, a, b=None):
-    """Dispatching wrapper over the field arithmetic with membership checks."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if not field.contains(a):
-        raise FieldMismatch(f"{a!r} is not a scalar of {field!r}")
-    if op in ("neg", "inv"):
-        if b is not None:
-            raise ValueError(f"{op} is unary")
-        return getattr(field, op)(a)
-    if not field.contains(b):
-        raise FieldMismatch(f"{b!r} is not a scalar of {field!r}")
-    return getattr(field, op)(a, b)
-
-
-def polynomial_roots(f, max_degree=6):
+def polynomial_roots(f):
     """All roots of f in its own field (finite fields and the rationals).
 
     Finite fields are searched exhaustively.  Over the rationals the
-    standard divisor enumeration on a cleared-denominator form is used,
-    bounded to degree `max_degree` to keep the search desk-scale.
+    standard divisor enumeration on a cleared-denominator form is used; it
+    trial-divides the constant and leading coefficients up to their square
+    roots, and raises BudgetExceeded when those steps exceed
+    ENUMERATION_BUDGET.
     """
     F = f.field
     if f.is_zero():
@@ -1039,13 +1017,7 @@ def polynomial_roots(f, max_degree=6):
         return [a for a in F.elements() if F.is_zero(f(a))]
     if not isinstance(F, Rationals):
         raise UnsupportedField(f"no root search over {F!r}")
-    if f.degree > max_degree:
-        raise UnsupportedField(
-            f"rational root search limited to degree {max_degree}, got {f.degree}"
-        )
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * lcm) for c in f.coeffs]
     roots = []
     k = 0
@@ -1054,6 +1026,11 @@ def polynomial_roots(f, max_degree=6):
     if k > 0:
         roots.append(Fraction(0))
     a0, ad = ints[k], ints[-1]
+    steps = math.isqrt(abs(a0)) + math.isqrt(abs(ad))
+    if steps > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"rational root search needs {steps} trial divisions, over budget {ENUMERATION_BUDGET}"
+        )
     seen = set()
     for num in _divisors(a0):
         for den in _divisors(ad):
@@ -1066,15 +1043,9 @@ def polynomial_roots(f, max_degree=6):
     return sorted(set(roots))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def poly_has_root(f, max_degree=6):
+def poly_has_root(f):
     """(has_root, witness) for f over a finite field or the rationals."""
-    roots = polynomial_roots(f, max_degree=max_degree)
+    roots = polynomial_roots(f)
     if roots:
         return True, roots[0]
     return False, None
@@ -1100,27 +1071,9 @@ def eisenstein_irreducible(f, p):
     return ints[0] % (p * p) != 0
 
 
-def laurent_valuation(field, a):
-    """The offset nu of a nonzero truncated Laurent series."""
-    if not isinstance(field, LaurentSeries):
-        raise UnsupportedField("valuation is defined for Laurent series scalars")
-    return field.valuation(a)
-
-
-def residue_decompose(field, a):
-    """Split a regular series into its constant part and a tail of valuation >= 1."""
-    if not isinstance(field, LaurentSeries):
-        raise UnsupportedField("residue decomposition is defined for Laurent series")
-    return field.residue_decompose(a)
-
-
 # ---------------------------------------------------------------------------
-# Descriptor (de)serialization
+# Descriptor deserialization
 # ---------------------------------------------------------------------------
-
-
-def field_to_json(field):
-    return field.to_json()
 
 
 def field_from_json(obj):

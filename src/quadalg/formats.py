@@ -19,7 +19,7 @@ import re
 
 from .algebra import MAX_DIM, StructureTensor
 from .errors import DimensionMismatch, ParseError
-from .fields import field_from_json, field_to_json
+from .fields import field_from_json
 from .solver import ProjectiveSolution
 
 _PRODUCT_KEY = re.compile(r"^e(\d+)\*e(\d+)$")
@@ -37,7 +37,7 @@ def element_from_json(field, v):
 
 def algebra_to_json(A, provenance=None):
     out = {
-        "field": field_to_json(A.field),
+        "field": A.field.to_json(),
         "dim": A.dim,
         "alpha": [
             [[A.field.scalar_to_json(a) for a in row] for row in plane]
@@ -111,7 +111,7 @@ def solution_report(field, engine, solutions, certified, infinite_family=False):
             for s in solutions
         ],
         "engine": engine,
-        "field": field_to_json(field),
+        "field": field.to_json(),
         "count": len(solutions),
         "certified": certified,
         "infinite_family": infinite_family,

@@ -44,6 +44,7 @@ from .errors import (
     WrongDimension,
 )
 from .fields import (
+    ENUMERATION_BUDGET,
     LaurentSeries,
     Polynomial,
     PrimeField,
@@ -62,7 +63,7 @@ class SolveConfig:
     max_newton_iter: int = 100
     k_max: int = 4
     seed: int = 0
-    enumeration_budget: int = 10_000_000
+    enumeration_budget: int = ENUMERATION_BUDGET
 
     def __post_init__(self):
         if (
@@ -87,7 +88,6 @@ class ProjectiveSolution:
     coords: tuple
     trivial: bool
     residual: float = 0.0
-    normalized: bool = True
 
     @property
     def lam(self):

@@ -279,6 +279,13 @@ def test_quotient_rejects_reducible_modulus():
         counterexample_algebra(F3, Polynomial(F3, [0, -1, 0, 1]))  # t^3 - t
 
 
+def test_quotient_of_degree_seven_rational_modulus():
+    # t^7 - 3 is certified by Eisenstein at 3 once its root search finds no root
+    A = counterexample_algebra(Q, Polynomial(Q, [-3, 0, 0, 0, 0, 0, 0, 1]))
+    assert A.dim == 6
+    assert A.is_commutative()
+
+
 def test_quotient_rejects_inexact_field():
     with pytest.raises(UnsupportedField):
         counterexample_algebra(R, Polynomial(R, [-2.0, 0.0, 0.0, 1.0]))
@@ -471,6 +478,31 @@ def test_spectrum_rational_infinite_family_with_idempotent():
     assert is_idempotent(A, rep.idempotent)
     assert is_absolute_nilpotent(A, rep.nilpotent)
     assert not is_zero_vector(Q, rep.nilpotent)
+
+
+def test_spectrum_rational_infinite_family_sweep():
+    # x*x = ell(x) * x: alpha[0][0] = (l1, 0), alpha[1][1] = (0, l2), and the
+    # cross term (l2, l1) split at random between alpha[0][1] and alpha[1][0]
+    rng = random.Random(71)
+    z = Fraction(0)
+    for trial in range(100):
+        l1, l2 = (z, z) if trial % 5 == 0 else (Q.random(rng), Q.random(rng))
+        s, t = Q.random(rng), Q.random(rng)
+        A = StructureTensor(Q, [[[l1, z], [s, t]], [[l2 - s, l1 - t], [z, l2]]])
+        rep = classify_spectrum(A)
+        assert rep.certified
+        if l1 == l2 == 0:
+            assert rep.description is SigmaDescription.ZERO_ONLY
+        else:
+            assert rep.description is SigmaDescription.ALL_OF_F
+            assert is_idempotent(A, rep.idempotent)
+        assert not is_zero_vector(Q, rep.nilpotent)
+        assert is_absolute_nilpotent(A, rep.nilpotent)
+    # dimension 1: x*x = a*x, so the idempotent is 1/a, or 1 is absolutely nilpotent
+    rep = classify_spectrum(StructureTensor(Q, [[[Fraction(-2, 3)]]]))
+    assert rep.description is SigmaDescription.ALL_NONZERO and rep.idempotent == (Fraction(-3, 2),)
+    rep = classify_spectrum(StructureTensor(Q, [[[z]]]))
+    assert rep.description is SigmaDescription.ZERO_ONLY and rep.nilpotent == (1,)
 
 
 def test_spectrum_rational_dim3_unsupported():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,7 +109,17 @@ def test_counterexample_file_reparses_identically(tmp_path):
 def test_counterexample_exit_codes(capsys):
     assert main(["counterexample", "--field", "rationals", "--modulus=1,0,1"]) == 5
     assert main(["counterexample", "--field", "prime:3", "--modulus=0,-1,0,1"]) == 5
+    # t^7 - 3: no rational root, then Eisenstein at 3
+    assert main(["counterexample", "--field", "rationals", "--modulus=-3,0,0,0,0,0,0,1"]) == 0
     capsys.readouterr()
+
+
+def test_rational_root_search_budget_exit_6(capsys):
+    # the divisor search would trial-divide 10^30 + 1 up to 10^15
+    start = time.perf_counter()
+    assert main(["counterexample", "--field", "rationals", f"--modulus={-(10**30) - 1},0,0,1"]) == 6
+    assert time.perf_counter() - start < 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_solve_with_nontrivial_solutions_exits_zero(tmp_path, capsys):
@@ -202,6 +213,14 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
         assert main(["check", str(bad), "[1,0]"]) == 2
         assert main(["solve", str(bad), "--engine", "exhaustive"]) == 2
         assert main(["spectrum", str(bad)]) == 2
+    # each command takes only the tuning flags its engines read
+    unread = [("solve", "--kmax"), ("spectrum", "--kmax"), ("bezout", "--tol"), ("bezout", "--restarts"),
+              ("bezout", "--seed"), ("perturb", "--tol"), ("perturb", "--restarts")]
+    for command, flag in unread:
+        argv = [command, str(bad), flag, "1"] + (["--engine", "exact2"] if command == "solve" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -251,10 +270,12 @@ def test_witness_reports_rootless(spec, needle, tmp_path, capsys):
     assert formats.load_json(report)["rootless"] is True
 
 
-@pytest.mark.parametrize("spec", ["prime:1000000000000000003", "gf:4001"])
+@pytest.mark.parametrize("spec", ["prime:1000000000000000003", "gf:4001", "gf:1000000000000000003"])
 def test_witness_budget_exceeded_exit_6(spec, capsys):
     # q * (q + 1) root-search steps exceed the default budget of 1e7
+    start = time.perf_counter()
     assert main(["witness", "--field", spec]) == 6
+    assert time.perf_counter() - start < 2
     assert "budget" in capsys.readouterr().err
 
 

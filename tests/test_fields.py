@@ -8,7 +8,6 @@ import pytest
 from quadalg import (
     DivisionByZero,
     ExtensionField,
-    FieldMismatch,
     LaurentSeries,
     NotInValuationRing,
     NotIntegerCoefficients,
@@ -20,14 +19,10 @@ from quadalg import (
     ReducibleModulus,
     ZeroSeries,
     eisenstein_irreducible,
-    field_arith,
     field_from_json,
-    field_to_json,
     finite_field,
-    laurent_valuation,
     poly_has_root,
     polynomial_roots,
-    residue_decompose,
 )
 from quadalg.fields import is_prime
 
@@ -55,32 +50,25 @@ def naive_eval(F, coeffs, a):
 
 
 def test_rational_add():
-    assert field_arith(Q, "add", Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert Q.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
 
 
 def test_prime_mul_wraps():
-    assert field_arith(F3, "mul", 2, 2) == 1
+    assert F3.mul(2, 2) == 1
 
 
 def test_extension_mul_reduces_by_modulus():
     t = F27.gen()
     t2 = F27.mul(t, t)
     # t^3 = t + 1 under the modulus
-    assert field_arith(F27, "mul", t2, t) == (1, 1, 0)
-
-
-def test_field_mismatch_detected():
-    with pytest.raises(FieldMismatch):
-        field_arith(F3, "add", 1, Fraction(1, 2))
-    with pytest.raises(FieldMismatch):
-        field_arith(Q, "mul", Fraction(1), 7)
+    assert F27.mul(t2, t) == (1, 1, 0)
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        field_arith(Q, "div", Fraction(1), Fraction(0))
+        Q.div(Fraction(1), Fraction(0))
     with pytest.raises(DivisionByZero):
-        field_arith(F5, "inv", 0)
+        F5.inv(0)
     L = LaurentSeries(Q)
     with pytest.raises(DivisionByZero):
         L.inv(L.zero())
@@ -210,50 +198,50 @@ L = LaurentSeries(Q, 16)
 
 
 def test_valuation_of_leading_exponent():
-    assert laurent_valuation(L, L.series(2, [1, 1])) == 2
+    assert L.valuation(L.series(2, [1, 1])) == 2
 
 
 def test_valuation_of_regular_constant():
-    assert laurent_valuation(L, L.series(0, [3, 1])) == 0
+    assert L.valuation(L.series(0, [3, 1])) == 0
 
 
 def test_valuation_additive_under_product():
     a = L.series(1, [1, 1])
     b = L.series(-1, [2, 0, 1])
     ab = L.mul(a, b)
-    assert laurent_valuation(L, ab) == 0
+    assert L.valuation(ab) == 0
     # (1+t)(2+t^2) = 2 + 2t + t^2 + t^3
     assert ab == L.series(0, [2, 2, 1, 1])
 
 
 def test_valuation_of_zero_raises():
     with pytest.raises(ZeroSeries):
-        laurent_valuation(L, L.zero())
+        L.valuation(L.zero())
 
 
 def test_residue_decompose_examples():
-    const, tail = residue_decompose(L, L.series(0, [5, 2, 0, 1]))
+    const, tail = L.residue_decompose(L.series(0, [5, 2, 0, 1]))
     assert const == Fraction(5)
     assert tail == L.series(1, [2, 0, 1])
-    const, tail = residue_decompose(L, L.series(2, [1]))
+    const, tail = L.residue_decompose(L.series(2, [1]))
     assert const == 0 and tail == L.series(2, [1])
 
 
 def test_residue_decompose_rejects_poles():
     with pytest.raises(NotInValuationRing):
-        residue_decompose(L, L.series(-1, [1]))
+        L.residue_decompose(L.series(-1, [1]))
 
 
 def test_residue_decompose_round_trip_random():
     rng = random.Random(99)
     for _ in range(100):
         a = L.series(rng.randint(0, 3), [Q.random(rng) for _ in range(rng.randint(1, 5))])
-        const, tail = residue_decompose(L, a)
+        const, tail = L.residue_decompose(a)
         assert L.add(L.embed(const), tail) == a
         if not L.is_zero(tail):
-            assert laurent_valuation(L, tail) >= 1
+            assert L.valuation(tail) >= 1
         if not Q.is_zero(const):
-            assert laurent_valuation(L, L.embed(const)) == 0
+            assert L.valuation(L.embed(const)) == 0
 
 
 def test_laurent_truncation_on_multiply():
@@ -299,8 +287,28 @@ def test_is_prime_decides_large_moduli():
 
 
 def test_finite_field_rejects_non_prime_powers():
-    with pytest.raises(ValueError):
-        finite_field(6)
+    for q in (6, 36, 10**18, 2**61 + 1):
+        with pytest.raises(ValueError):
+            finite_field(q)
+
+
+def test_finite_field_finds_p_by_integer_roots():
+    # no trial division up to sqrt(q): a 61-bit prime is found at once
+    assert finite_field(2**61 - 1) == PrimeField(2**61 - 1)
+    assert repr(finite_field(3**5)) == "GF(3^5)"
+    assert repr(finite_field(2**16)) == "GF(2^16)"
+
+
+def test_public_names_resolve():
+    import quadalg
+
+    assert len(quadalg.__all__) == len(set(quadalg.__all__)) == 65
+    assert all(hasattr(quadalg, name) for name in quadalg.__all__)
+    # module-level aliases of methods: F.add, F.to_json(), L.valuation,
+    # L.residue_decompose, A.multiply, A.square, A.symmetrize
+    for gone in ("field_arith", "field_to_json", "laurent_valuation", "residue_decompose",
+                 "multiply", "quadratic_operator", "symmetrize"):
+        assert not hasattr(quadalg, gone), gone
 
 
 @pytest.mark.parametrize(
@@ -309,7 +317,7 @@ def test_finite_field_rejects_non_prime_powers():
     ids=lambda F: repr(F),
 )
 def test_descriptor_json_round_trip(F):
-    assert field_from_json(field_to_json(F)) == F
+    assert field_from_json(F.to_json()) == F
 
 
 def test_rational_scalar_serialization():

@@ -191,14 +191,21 @@ def test_exhaustive_rejects_infinite_fields():
         solve_exhaustive(build_system(zero_algebra(Q, 2)))
 
 
-def test_exhaustive_matches_scalar_reference():
+def test_exhaustive_matches_scalar_reference(monkeypatch):
     # solve_exhaustive sweeps through the ffenum index backend; the scalar
     # loop over projective_points is the independent reference
+    from quadalg import ffenum
+
     rng = random.Random(53)
-    cases = [(F, n) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
+    chunk = ffenum._CHUNK
+    cases = [(F, n, chunk) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
     # the largest prime ffenum indexes: its products come close to 2^32
-    cases.append((PrimeField(65521), 1))
-    for F, n in cases:
+    cases.append((PrimeField(65521), 1, chunk))
+    # chunks shorter than the lead blocks (25 and 81 points), so that chunk
+    # boundaries fall inside a block
+    cases += [(F5, 3, 7), (finite_field(9), 3, 10)]
+    for F, n, chunk in cases:
+        monkeypatch.setattr(ffenum, "_CHUNK", chunk)
         systems = [build_system(zero_algebra(F, n))]
         # the scalar reference takes seconds per full system over F_25 at
         # n = 3, so that size checks the zero algebra (652 solutions) only
