@@ -388,6 +388,24 @@ def _pmod(F, a, b):
     return _pdivmod(F, a, b)[1]
 
 
+def _pgcd(F, a, b):
+    """A gcd of a and b by the remainder sequence (not normalized)."""
+    while b:
+        a, b = b, _pmod(F, a, b)
+    return a
+
+
+def _ppowmod(F, a, e, m):
+    """a^e mod m by square-and-multiply."""
+    out = [F.one()]
+    while e:
+        if e & 1:
+            out = _pmod(F, _pmul(F, out, a), m)
+        a = _pmod(F, _pmul(F, a, a), m)
+        e >>= 1
+    return out
+
+
 def _pext_gcd(F, a, b):
     """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
     r0, r1 = list(a), list(b)
@@ -414,9 +432,10 @@ class ExtensionField(Field):
 
     Scalars are tuples of `degree` base scalars: (c0, c1, ...) stands for
     c0 + c1*t + c2*t^2 + ...  The modulus is normalized to be monic and its
-    irreducibility is verified at construction (exhaustively over finite
-    bases; over the rationals by root search for degree <= 3 and by an
-    Eisenstein witness for higher degree).
+    irreducibility is verified at construction by `certify_irreducible`
+    (Ben-Or's test over finite bases; over the rationals a root search for
+    degree <= 3, and an Eisenstein prime or an irreducible reduction mod a
+    prime below 100 for higher degree).
     """
 
     kind = "ext"
@@ -839,34 +858,12 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, a):
         return _peval(self.field, self.coeffs, a)
-
-    def __add__(self, other):
-        self._check(other)
-        return Polynomial(self.field, _padd(self.field, self.coeffs, other.coeffs), self.var)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Polynomial(self.field, _psub(self.field, self.coeffs, other.coeffs), self.var)
 
     def __mul__(self, other):
         self._check(other)
         return Polynomial(self.field, _pmul(self.field, self.coeffs, other.coeffs), self.var)
-
-    def __mod__(self, other):
-        self._check(other)
-        return Polynomial(self.field, _pmod(self.field, self.coeffs, other.coeffs), self.var)
-
-    def __divmod__(self, other):
-        self._check(other)
-        q, r = _pdivmod(self.field, self.coeffs, other.coeffs)
-        return Polynomial(self.field, q, self.var), Polynomial(self.field, r, self.var)
 
     def _check(self, other):
         if not isinstance(other, Polynomial) or other.field != self.field:
@@ -903,65 +900,52 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _monic_irreducibles(field, degree):
-    """Monic irreducible coefficient tuples of the given degree, in enumeration order."""
-    elems = list(field.elements())
-    for rev in itertools.product(elems, repeat=degree):
-        coeffs = list(rev) + [field.one()]
-        if _is_irreducible_finite(field, coeffs):
-            yield tuple(coeffs)
+def _is_irreducible_finite(field, f):
+    """Ben-Or's test: f (trimmed, of degree d >= 1) is irreducible over GF(q)
+    iff gcd(f, t^(q^i) - t) = 1 for every 1 <= i <= d/2.
 
-
-@lru_cache(maxsize=None)
-def monic_irreducibles(field, degree):
-    """All monic irreducible coefficient tuples of the given degree (finite field)."""
-    if not field.finite:
-        raise UnsupportedField("irreducible enumeration needs a finite field")
-    return tuple(_monic_irreducibles(field, degree))
-
-
-def _is_irreducible_finite(field, coeffs):
-    d = len(coeffs) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if any(field.is_zero(_peval(field, coeffs, a)) for a in field.elements()):
-        return False
-    if d <= 3:
-        return True
-    # no root rules out linear factors; trial-divide by higher-degree ones
-    for e in range(2, d // 2 + 1):
-        for g in monic_irreducibles(field, e):
-            if not _pmod(field, list(coeffs), list(g)):
-                return False
+    A reducible f has an irreducible factor of some degree i <= d/2, and
+    t^(q^i) - t is the product of all monic irreducibles of degree dividing i.
+    """
+    t = [field.zero(), field.one()]
+    h = t
+    for _ in range((len(f) - 1) // 2):
+        h = _ppowmod(field, h, field.order, f)
+        if len(_pgcd(field, f, _psub(field, h, t))) > 1:
+            return False
     return True
 
 
 def certify_irreducible(f):
     """True when f is certifiably irreducible over its field.
 
-    Finite fields get an exact decision (root search, then trial division).
-    Over the rationals, degree <= 3 reduces to a rational root search; for
-    higher degree an Eisenstein witness among primes < 100 is required, and
-    the absence of one raises UnsupportedField rather than guessing.
+    Finite fields get an exact decision by Ben-Or's test.  Over the
+    rationals, degree <= 3 reduces to a rational root search.  For higher
+    degree, on the cleared-denominator form, a prime p < 100 not dividing the
+    leading coefficient certifies f when it is an Eisenstein prime or when
+    f mod p is irreducible (a factorization over QQ would reduce to one mod
+    p of the same degrees, by Gauss's lemma); the absence of any such prime
+    raises UnsupportedField rather than guessing.
     """
     F = f.field
     if f.degree < 1:
         return False
     if F.finite:
-        return _is_irreducible_finite(F, list(f.coeffs))
+        return _is_irreducible_finite(F, f.coeffs)
     if isinstance(F, Rationals):
         if poly_has_root(f)[0]:
             return False
         if f.degree <= 3:
             return True
+        lcm = math.lcm(*(c.denominator for c in f.coeffs))
+        g = Polynomial(F, [c * lcm for c in f.coeffs])  # integer coefficients
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
-            try:
-                if eisenstein_irreducible(f, p):
-                    return True
-            except NotIntegerCoefficients:
-                break
+            if g.coeffs[-1] % p == 0:
+                continue
+            if eisenstein_irreducible(g, p) or _is_irreducible_finite(
+                PrimeField(p), [int(c) % p for c in g.coeffs]
+            ):
+                return True
         raise UnsupportedField(
             f"cannot certify irreducibility of degree-{f.degree} polynomial over QQ"
         )
@@ -993,8 +977,14 @@ def finite_field(q):
     base = PrimeField(p)
     if k == 1:
         return base
-    # the first monic irreducible in enumeration order (one of every degree exists)
-    return ExtensionField(base, next(_monic_irreducibles(base, k)))
+    # the first monic irreducible (one of every degree exists), counting with
+    # the constant term as the most significant base-p digit; a constant
+    # term 0 means a factor t, so the count starts at constant term 1
+    for n in range(p ** (k - 1), p**k):
+        try:
+            return ExtensionField(base, [n // p ** (k - 1 - i) % p for i in range(k)] + [1])
+        except ReducibleModulus:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_counterexample_exit_codes(capsys):
     # t^7 - 3: no rational root, then Eisenstein at 3
     assert main(["counterexample", "--field", "rationals", "--modulus=-3,0,0,0,0,0,0,1"]) == 0
     capsys.readouterr()
+    # t^5 - t - 1: no Eisenstein prime, certified by its irreducible reduction mod 2
+    assert main(["counterexample", "--field", "rationals", "--modulus=-1,-1,0,0,0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 4
+    # the minimal polynomial of 2^(1/3) + 3^(1/3) is reducible mod every prime
+    assert main(["counterexample", "--field", "rationals", "--modulus=-125,0,0,-87,0,0,-15,0,0,1"]) == 4
+    capsys.readouterr()
 
 
 def test_rational_root_search_budget_exit_6(capsys):
@@ -254,6 +260,17 @@ def test_spectrum_budget_exceeded_exit_6(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_over_large_extension_field_is_fast(tmp_path, capsys):
+    # certifying t^2 + 1 over GF(10^9 + 7) takes no search over the base field
+    path = tmp_path / "big.json"
+    field = {"kind": "ext", "p": 1_000_000_007, "modulus": [1, 0, 1]}
+    formats.save_json(path, {"field": field, "dim": 1, "products": {}})
+    start = time.perf_counter()
+    assert main(["spectrum", str(path)]) == 0
+    assert time.perf_counter() - start < 5
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # witness
 # ---------------------------------------------------------------------------
@@ -270,7 +287,9 @@ def test_witness_reports_rootless(spec, needle, tmp_path, capsys):
     assert formats.load_json(report)["rootless"] is True
 
 
-@pytest.mark.parametrize("spec", ["prime:1000000000000000003", "gf:4001", "gf:1000000000000000003"])
+@pytest.mark.parametrize(
+    "spec", ["prime:1000000000000000003", "gf:4001", "gf:1000000000000000003", "gf:1000006000009"]
+)
 def test_witness_budget_exceeded_exit_6(spec, capsys):
     # q * (q + 1) root-search steps exceed the default budget of 1e7
     start = time.perf_counter()

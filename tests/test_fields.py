@@ -1,6 +1,8 @@
 """Field backends: axioms, polynomial utilities, Laurent valuation machinery."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from quadalg import (
     Rationals,
     Reals,
     ReducibleModulus,
+    UnsupportedField,
     ZeroSeries,
     eisenstein_irreducible,
     field_from_json,
@@ -24,7 +27,7 @@ from quadalg import (
     poly_has_root,
     polynomial_roots,
 )
-from quadalg.fields import is_prime
+from quadalg.fields import certify_irreducible, is_prime
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -188,6 +191,115 @@ def test_eisenstein_quintic():
 def test_eisenstein_rejects_fractions():
     with pytest.raises(NotIntegerCoefficients):
         eisenstein_irreducible(Polynomial(Q, [Fraction(1, 2), Fraction(1)]), 2)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility
+# ---------------------------------------------------------------------------
+
+
+def _monic(F, d):
+    """Every monic polynomial of degree d over the finite field F."""
+    for tail in itertools.product(list(F.elements()), repeat=d):
+        yield Polynomial(F, list(tail) + [F.one()])
+
+
+def _mobius(n):
+    out, m = 1, 2
+    while m * m <= n:
+        if n % m == 0:
+            n //= m
+            if n % m == 0:
+                return 0
+            out = -out
+        m += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize(
+    "F,dmax",
+    [(F2, 8), (F3, 5), (F5, 4), (finite_field(4), 3), (finite_field(9), 3)],
+    ids=lambda x: repr(x),
+)
+def test_irreducible_count_matches_gauss(F, dmax):
+    q = F.order
+    for d in range(1, dmax + 1):
+        gauss = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        assert sum(certify_irreducible(f) for f in _monic(F, d)) == gauss, d
+
+
+def _divides_mod_p(g, f, p):
+    """True when the monic g divides f over GF(p) (int coefficients, low to high)."""
+    f = [c % p for c in f]
+    while len(f) >= len(g):
+        c = f.pop()
+        for i in range(len(g) - 1):
+            f[len(f) - len(g) + 1 + i] = (f[len(f) - len(g) + 1 + i] - c * g[i]) % p
+    return not any(f)
+
+
+def test_irreducibility_agrees_with_trial_division_over_f3():
+    for d in range(1, 6):
+        for f in _monic(F3, d):
+            reducible = any(
+                _divides_mod_p(list(tail) + [1], list(f.coeffs), 3)
+                for e in range(1, d // 2 + 1)
+                for tail in itertools.product(range(3), repeat=e)
+            )
+            assert certify_irreducible(f) is not reducible, f
+
+
+@pytest.mark.parametrize(
+    "q,modulus",
+    [
+        (4, (1, 1, 1)),
+        (9, (1, 0, 1)),
+        (25, (1, 1, 1)),
+        (125, (1, 0, 1, 1)),
+        (169, (1, 3, 1)),
+        (625, (1, 0, 1, 1, 1)),
+        (3125, (1, 0, 0, 0, 4, 1)),
+        (59049, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)),
+        (65536, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+    ],
+)
+def test_finite_field_canonical_modulus(q, modulus):
+    assert finite_field(q).modulus == modulus
+
+
+@pytest.mark.parametrize("q", [3**40, 7**9])
+def test_finite_field_large_degree_is_fast(q):
+    start = time.perf_counter()
+    F = finite_field.__wrapped__(q)  # bypass the cache: time the search itself
+    assert time.perf_counter() - start < 2
+    assert F.order == q
+
+
+def test_rational_irreducibility_by_reduction_mod_p():
+    # t^5 - t - 1 has no Eisenstein prime, but is irreducible mod 2
+    assert certify_irreducible(Polynomial(Q, [-1, -1, 0, 0, 0, 1]))
+    # t^5 + (2/3)t + 2/3: Eisenstein at 2 on the integer form 3t^5 + 2t + 2
+    assert certify_irreducible(Polynomial(Q, [Fraction(2, 3), Fraction(2, 3), 0, 0, 0, 1]))
+    # t^4 + 1 and the minimal polynomial of 2^(1/3) + 3^(1/3) are irreducible
+    # but reducible mod every prime: no certificate, and no guess
+    for coeffs in ([1, 0, 0, 0, 1], [-125, 0, 0, -87, 0, 0, -15, 0, 0, 1]):
+        with pytest.raises(UnsupportedField):
+            certify_irreducible(Polynomial(Q, coeffs))
+
+
+def test_rational_products_are_never_certified():
+    rng = random.Random(20140301)
+    certified = 0
+    for _ in range(1000):
+        f = Polynomial(Q, [1])
+        for _ in range(2):
+            d = rng.randint(1, 4)
+            f = f * Polynomial(Q, [rng.randint(-6, 6) for _ in range(d)] + [rng.choice([-3, -2, -1, 1, 2, 3])])
+        try:
+            certified += certify_irreducible(f)
+        except UnsupportedField:
+            pass
+    assert certified == 0
 
 
 # ---------------------------------------------------------------------------
