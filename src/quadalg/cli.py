@@ -21,12 +21,15 @@ mismatch; 4 engine/field mismatch, unsupported field, or any other package
 error (characteristic two, a valuation violation, a division by zero, ...);
 5 reducible or even-degree modulus; 6 enumeration budget exceeded (a sweep,
 the q*(q+1) root search of ``witness`` over GF(q), or a rational root
-search); 7 internal error, with the traceback printed.  Codes 0 and 1 come
-only from an engine run that completed.
+search); 7 internal error, with the traceback printed; 141 standard output
+closed before everything was written to it (128 + SIGPIPE, what a shell
+reports for a process that SIGPIPE ended).  Codes 0 and 1 come only from an
+engine run that completed.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 import traceback
@@ -391,12 +394,20 @@ _EXIT_CODES = (
     ((QuadAlgError,), 4),
 )
 INTERNAL_ERROR = 7
+BROKEN_PIPE = 141
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; with stdout on devnull the
+        # interpreter's own flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (QuadAlgError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

@@ -2,9 +2,10 @@
 
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
-Index 0 is zero and index 1 is one in both cases.  Multiplication uses
-discrete log/antilog tables against a fixed generator; addition works on a
-precomputed digit table.
+Index 0 is zero and index 1 is one in both cases.  Over GF(p^k) the sweep
+reads the field's own discrete-log tables (``fields.LogTables``) through
+numpy views: multiplication by log/antilog lookup, addition by Zech's
+logarithm.
 
 The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
 x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
@@ -21,21 +22,16 @@ the solver module, which imports it) does not load numpy.
 
 from functools import lru_cache
 
-from .fields import ExtensionField, PrimeField
+from .fields import INDEXED_ORDER_LIMIT, ExtensionField, PrimeField
 
 _CHUNK = 1 << 16
-_MAX_ORDER = 1 << 16
 
 
 def supports(F):
     """True when the index backend can handle this field."""
     if isinstance(F, PrimeField):
-        return F.p <= _MAX_ORDER
-    return (
-        isinstance(F, ExtensionField)
-        and isinstance(F.base, PrimeField)
-        and F.order <= _MAX_ORDER
-    )
+        return F.p <= INDEXED_ORDER_LIMIT
+    return isinstance(F, ExtensionField) and F.has_log_tables
 
 
 class _PrimeOps:
@@ -45,63 +41,32 @@ class _PrimeOps:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    mul_scalar = mul
-
     def add(self, a, b):
         return (a + b) % self.p
 
 
 class _ExtOps:
+    """numpy views of the field's LogTables (see there for the layout)."""
+
     def __init__(self, F):
         import numpy as np
 
-        q = F.order
-        p = F.base.p
-        k = F.degree
-        one = F.one()
-        # the first element in index order whose powers reach all of F^*
-        # is the generator, and its powers are the antilog table
-        for cand in range(2, q):
-            g = F.scalar_from_index(cand)
-            powers = [one]
-            acc = g
-            while acc != one:
-                powers.append(acc)
-                acc = F.mul(acc, g)
-            if len(powers) == q - 1:
-                break
-        else:
-            raise RuntimeError("no generator found (not a field?)")
-        exp = np.array([F.scalar_index(a) for a in powers], dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, k), dtype=np.int64)
-        for i in range(k):
-            digits[:, i] = (idx // p**i) % p
-        self.q = q
-        self.p = p
-        self.exp = exp
-        self.log = log
-        self.digits = digits
-        self.p_pows = np.array([p**i for i in range(k)], dtype=np.int64)
+        T = F.log_tables()
+        self.n = T.n
+        self.exp, self.log, self.zech = (
+            np.frombuffer(t, dtype=np.intc) for t in (T.exp, T.log, T.zech)
+        )
 
     def mul(self, a, b):
-        import numpy as np
-
-        out = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
-
-    def mul_scalar(self, c, a):
-        import numpy as np
-
-        if c == 0:
-            return np.zeros_like(a)
-        out = self.exp[(self.log[c] + self.log[a]) % (self.q - 1)]
-        return np.where(a == 0, 0, out)
+        # log 0 points past the powers of g, where exp reads 0
+        return self.exp[self.log[a] + self.log[b]]
 
     def add(self, a, b):
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self.p_pows
+        import numpy as np
+
+        la, lb = self.log[a], self.log[b]
+        out = self.exp[la + self.zech[(lb - la) % self.n]]
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
 
 @lru_cache(maxsize=32)
@@ -139,7 +104,7 @@ def solve_system(F, n, forms_idx):
                 for (i, k), cidx in form.items():
                     if i >= lead and k >= lead:
                         term = ops.mul(x[i], x[k])
-                        acc = ops.add(acc, ops.mul_scalar(cidx, term))
+                        acc = ops.add(acc, ops.mul(cidx, term))
                 values.append(acc)
             lam = values[lead]
             mask = np.ones(len(vals), dtype=bool)

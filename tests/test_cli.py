@@ -558,6 +558,9 @@ def _numpy_after(argvs):
 
 def test_exact_commands_do_not_import_numpy(tmp_path):
     ff = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(2)), "ff.json")
+    F9 = finite_field(9)
+    diag9 = [[[F9.from_int(c) for c in row] for row in plane] for plane in _diagonal(2)]
+    ff9 = write_algebra(tmp_path, StructureTensor(F9, diag9), "ff9.json")
     bad = tmp_path / "bad.json"
     formats.save_json(bad, {"field": {"kind": "prime", "p": 3}, "dim": 2, "alpha": 5})
     ce = str(tmp_path / "ce.json")
@@ -568,11 +571,33 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         ["check", ff, "[1, 0]"],
         ["witness", "--field", "gf:9"],
         ["solve", str(bad), "--engine", "exhaustive"],
+        ["witness", "--field", "gf:25"],
+        ["check", ff9, "[[1, 0], [0, 0]]"],
     ]
     got = _numpy_after(argvs)
     assert [(cmd, code) for cmd, code, _ in got] == [
-        ("counterexample", 0), ("solve", 1), ("spectrum", 1), ("check", 0), ("witness", 0), ("solve", 2)
+        ("counterexample", 0), ("solve", 1), ("spectrum", 1), ("check", 0), ("witness", 0), ("solve", 2),
+        ("witness", 0), ("check", 0),
     ]
     assert not any(loaded for _, _, loaded in got)
     # the probe can see an import: the finite-field sweep loads numpy
     assert _numpy_after([["solve", ff, "--engine", "exhaustive"]]) == [["solve", 0, True]]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader of stdout is gone before the report is written, as in
+    # `quadalg counterexample ... | true`
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadalg", "counterexample", "--field", "rationals",
+             "--modulus=-1,-1,0,0,0,1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.BROKEN_PIPE == 141
+    assert proc.stderr == ""

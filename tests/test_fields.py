@@ -1,8 +1,12 @@
 """Field backends: axioms, polynomial utilities, Laurent valuation machinery."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +31,7 @@ from quadalg import (
     poly_has_root,
     polynomial_roots,
 )
+from quadalg import fields as fields_module
 from quadalg.fields import certify_irreducible, is_prime
 
 Q = Rationals()
@@ -119,6 +124,94 @@ def test_extension_characteristic_and_order():
 def test_scalar_index_round_trip():
     for i in range(27):
         assert F27.scalar_index(F27.scalar_from_index(i)) == i
+
+
+# ---------------------------------------------------------------------------
+# discrete-log tables against the polynomial route
+# ---------------------------------------------------------------------------
+
+
+def _fresh(q):
+    """GF(q) on the canonical modulus, as a new object whose tables are unbuilt."""
+    F = finite_field(q)
+    return ExtensionField(F.base, F.modulus)
+
+
+def _check_tables(F, pairs):
+    """Table mul/inv against the polynomial route, add/sub against the base field."""
+    F.log_tables()
+    B, p = F.base, F.base.p
+    for a, b in pairs:
+        assert F.mul(a, b) == F._poly_mul(a, b)
+        assert F.add(a, b) == tuple(B.add(x, y) for x, y in zip(a, b))
+        assert F.sub(a, b) == tuple(B.sub(x, y) for x, y in zip(a, b))
+        i = sum(c * p**e for e, c in enumerate(a))
+        assert F.scalar_index(a) == i and F.scalar_from_index(i) == a
+        if F.is_zero(a):
+            with pytest.raises(DivisionByZero):
+                F.inv(a)
+        else:
+            assert F.inv(a) == F._poly_inv(a)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 125])
+def test_log_tables_match_polynomial_route_on_every_pair(q):
+    F = finite_field(q)
+    elems = list(F.elements())
+    _check_tables(F, itertools.product(elems, repeat=2))
+    assert [F.scalar_from_index(i) for i in range(q)] == elems
+
+
+@pytest.mark.parametrize("q", [625, 2**16])
+def test_log_tables_match_polynomial_route_on_seeded_pairs(q):
+    F = finite_field(q)
+    rng = random.Random(q)
+    pairs = [(F.random(rng), F.random(rng)) for _ in range(10_000)]
+    _check_tables(F, pairs + [(F.zero(), F.one()), (F.one(), F.zero())])
+
+
+@pytest.mark.parametrize("q", [2**16, 3**10])
+def test_log_tables_build_fast(q):
+    F = _fresh(q)
+    a, b = F.gen(), F.random(random.Random(q))
+    t0 = time.perf_counter()
+    F.log_tables()
+    prod = F.mul(a, b)
+    assert time.perf_counter() - t0 < 2.0
+    assert prod == F._poly_mul(a, b)
+
+
+def test_log_tables_are_compact():
+    F = _fresh(2**16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F.log_tables()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert size < 4_000_000
+
+
+def test_log_tables_do_not_import_numpy():
+    code = (
+        "import sys; from quadalg.fields import finite_field; "
+        "F = finite_field(625); F.log_tables(); F.mul(F.gen(), F.gen()); "
+        "print('numpy' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fields_module.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_no_log_tables_above_the_index_limit():
+    F = finite_field(5**7)
+    assert not F.has_log_tables
+    with pytest.raises(UnsupportedField):
+        F.log_tables()
+    with pytest.raises(UnsupportedField):
+        ExtensionField(Q, [-2, 0, 0, 1]).log_tables()
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,24 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
             assert [s.coords for s in solve_exhaustive(S)] == ref
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_ffenum_table_arithmetic_matches_scalar_route(q):
+    # the sweep's Zech addition and log/antilog products, on every pair of
+    # indices, against digit-wise addition and polynomial multiply-and-reduce
+    # on coefficient tuples
+    import numpy as np
+
+    from quadalg import ffenum
+
+    F = finite_field(q)
+    elems = list(F.elements())  # index order
+    ops = ffenum._ExtOps(F)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
+    pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
+    assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
+    assert [elems[i] for i in ops.mul(a, b).tolist()] == [F._poly_mul(x, y) for x, y in pairs]
+
+
 def test_scalar_sweep_matches_scalar_reference(monkeypatch):
     # the scalar branch serves fields ffenum cannot index; refusing every
     # field sends small ones through it, against the full P^n reference
