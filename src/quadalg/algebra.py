@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import ExtensionField, Polynomial, Rationals, Reals
 
-MAX_DIM = 16
+MAX_DIM = 16  # checked where a dimension arrives: files, counterexample moduli
 
 
 class StructureTensor:
@@ -38,12 +38,11 @@ class StructureTensor:
 
     __slots__ = ("field", "dim", "alpha", "_nonzeros")
 
-    def __init__(self, field, alpha, max_dim=None):
+    def __init__(self, field, alpha):
         alpha = tuple(tuple(tuple(row) for row in plane) for plane in alpha)
         n = len(alpha)
-        limit = MAX_DIM if max_dim is None else max_dim
-        if n < 1 or n > limit:
-            raise DimensionMismatch(f"dimension {n} outside 1..{limit}")
+        if n < 1:
+            raise DimensionMismatch("an algebra needs dimension >= 1")
         for i, plane in enumerate(alpha):
             if len(plane) != n:
                 raise DimensionMismatch("structure tensor is not cubic")
@@ -124,7 +123,7 @@ class StructureTensor:
             ]
             for i in range(n)
         ]
-        return StructureTensor(F, new, max_dim=n)
+        return StructureTensor(F, new)
 
     def scale(self, c):
         """The tensor with every entry multiplied by c."""
@@ -132,7 +131,7 @@ class StructureTensor:
         new = [
             [[F.mul(c, a) for a in row] for row in plane] for plane in self.alpha
         ]
-        return StructureTensor(F, new, max_dim=self.dim)
+        return StructureTensor(F, new)
 
     def __eq__(self, other):
         return (
@@ -167,7 +166,7 @@ def matrix_algebra(field, m):
         for b in range(m):
             for d in range(m):
                 alpha[a * m + b][b * m + d][a * m + d] = one
-    return StructureTensor(field, alpha, max_dim=n)
+    return StructureTensor(field, alpha)
 
 
 def random_structure_tensor(field, n, rng, commutative=True):
@@ -182,7 +181,7 @@ def random_structure_tensor(field, n, rng, commutative=True):
                 alpha[i][k][j] = c
                 if commutative:
                     alpha[k][i][j] = c
-    return StructureTensor(field, alpha, max_dim=n)
+    return StructureTensor(field, alpha)
 
 
 def is_zero_vector(field, x):
@@ -276,7 +275,8 @@ def counterexample_algebra(F, f):
     Phi carries the product (x - pi(x))(y - pi(y)) where pi projects onto the
     constant line; that line is an ideal, and the quotient on the basis of the
     images of t, t^2, ..., t^(d-1) is a commutative (d-1)-dimensional algebra
-    whose squaring operator has no eigenvectors over F.
+    whose squaring operator has no eigenvectors over F.  A degree above
+    MAX_DIM + 1 is refused (DimensionMismatch) before f is certified.
     """
     if not F.is_exact:
         raise UnsupportedField("the quotient construction needs an exact field")
@@ -285,6 +285,8 @@ def counterexample_algebra(F, f):
     d = f.degree
     if d <= 1 or d % 2 == 0:
         raise EvenOrTrivialDegree(f"modulus degree must be odd and > 1, got {d}")
+    if d - 1 > MAX_DIM:
+        raise DimensionMismatch(f"dimension {d - 1} outside 1..{MAX_DIM}")
     phi = ExtensionField(F, f)  # raises ReducibleModulus if f factors
     t = phi.gen()
     pows = [phi.one()]
@@ -332,7 +334,7 @@ def restrict_scalars(A):
                         w = phi.mul(s0, pows[i + j])
                         for k in range(e):
                             alpha[a * e + i][b * e + j][c * e + k] = w[k]
-    return StructureTensor(base, alpha, max_dim=max(m, MAX_DIM))
+    return StructureTensor(base, alpha)
 
 
 def flatten_element(phi, x):
@@ -413,11 +415,12 @@ def classify_spectrum(A, cfg=None):
     """Decide whether 0 and 1 are eigenvalues of the squaring operator.
 
     Over a finite field the witnesses are read off the nontrivial solutions
-    of ``solver.solve_exhaustive`` (certified), within the configured
-    enumeration budget: a larger P^n raises BudgetExceeded.  Over the reals the
-    decision is delegated to targeted numeric searches and the report is
-    flagged as uncertified.  Over the rationals only dimensions 1 and 2 are
-    supported (exact elimination); larger rational problems are refused.
+    of ``solver.solve_exhaustive`` (certified), within the fixed
+    ``fields.ENUMERATION_BUDGET``: a larger sweep raises BudgetExceeded.
+    Over the reals the decision is delegated to targeted numeric searches
+    and the report is flagged as uncertified.  Over the rationals only
+    dimensions 1 and 2 are supported (exact elimination); larger rational
+    problems are refused.
     """
     F = A.field
     if isinstance(F, Rationals):
@@ -426,9 +429,8 @@ def classify_spectrum(A, cfg=None):
         raise UnsupportedField(f"spectrum classification unsupported over {F!r}")
     from . import solver
 
-    cfg = cfg if cfg is not None else solver.SolveConfig()
     if F.finite:
-        sols = solver.solve_exhaustive(solver.build_system(A), cfg)
+        sols = solver.solve_exhaustive(solver.build_system(A))
         return _report_from_solutions(A, sols)
     idem = solver.find_idempotent_real(A, cfg)
     nil = solver.find_absolute_nilpotent_real(A, cfg)

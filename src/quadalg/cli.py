@@ -16,8 +16,10 @@ Subcommands, with the tuning flags each one reads (every one also takes
 Exit codes: 0 success (nontrivial solution / nonempty spectrum / generic
 verdict); 1 provably-none or none-found (the report's "certified" field
 tells which), empty spectrum, or positive-dimensional verdict; 2 parse
-error, unreadable file, or a flag the command does not take; 3 dimension
-mismatch; 4 engine/field mismatch, unsupported field, or any other package
+error, unreadable file, a flag the command does not take, or a non-positive
+one; 3 dimension mismatch (a file's "dim", or a counterexample modulus's
+degree minus one, above ``algebra.MAX_DIM``: checked before the modulus is
+certified); 4 engine/field mismatch, unsupported field, or any other package
 error (characteristic two, a valuation violation, a division by zero, ...);
 5 reducible or even-degree modulus; 6 enumeration budget exceeded (a sweep,
 the q*(q+1) root search of ``witness`` over GF(q), or a rational root
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import traceback
 
@@ -85,8 +88,9 @@ def parse_field_spec(spec):
             return PrimeField(int(low.split(":", 1)[1]))
         if low.startswith("gf:"):
             return finite_field(int(low.split(":", 1)[1]))
-        if low.startswith(("f", "gf")) and low.lstrip("gf").isdigit():
-            return finite_field(int(low.lstrip("gf")))
+        m = re.fullmatch(r"g?f([0-9]+)", low)
+        if m:
+            return finite_field(int(m.group(1)))
         if low.startswith("ext:"):
             _, p, coeffs = low.split(":", 2)
             return ExtensionField(PrimeField(int(p)), [int(c) for c in coeffs.split(",")])
@@ -127,7 +131,10 @@ def _config(args):
     """A SolveConfig with the tuning flags this command was given."""
     names = {"tol": "residual_tol", "restarts": "max_restarts", "kmax": "k_max", "seed": "seed"}
     given = {field: getattr(args, flag, None) for flag, field in names.items()}
-    return sv.SolveConfig(**{field: v for field, v in given.items() if v is not None})
+    try:
+        return sv.SolveConfig(**{field: v for field, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise ParseError(f"bad tuning flag: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +177,7 @@ def cmd_solve(args):
     F = A.field
     cfg = _config(args)
     if args.engine == "exhaustive":
-        sols = sv.solve_exhaustive(sv.build_system(A), cfg)
+        sols = sv.solve_exhaustive(sv.build_system(A))
         nontrivial = [s for s in sols if not s.trivial]
         report = formats.solution_report(F, "exhaustive", sols, certified=True)
         _emit(report, args.out)

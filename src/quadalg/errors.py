@@ -66,7 +66,7 @@ class WrongDimension(QuadAlgError, ValueError):
 
 
 class BudgetExceeded(QuadAlgError, RuntimeError):
-    """Enumeration would exceed the configured point budget."""
+    """A search would exceed fields.ENUMERATION_BUDGET steps."""
 
 
 class SearchExhausted(QuadAlgError, RuntimeError):

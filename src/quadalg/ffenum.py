@@ -10,11 +10,12 @@ logarithm.
 The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
 x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
 the leftmost nonzero coordinate of x scaled to 1, lam = Q_lead(x).  So the
-sweep runs over the directions x in P^{n-1} only, derives lam, and appends
-the trivial point (0 : ... : 0 : 1).  Directions are enumerated in canonical
-order (leftmost-nonzero-is-1, grouped by lead position, tails in mixed radix
-with the leftmost free digit most significant), so the rows come out in the
-order of the canonical P^n enumeration in the solver module.
+sweep runs over the directions x in P^{n-1} only and derives lam; the caller,
+``solver.solve_exhaustive``, appends the trivial point (0 : ... : 0 : 1).
+Directions are enumerated in canonical order (leftmost-nonzero-is-1, grouped
+by lead position, tails in mixed radix with the leftmost free digit most
+significant), so the rows come out in the order of the canonical P^n
+enumeration in the solver module.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -77,7 +78,7 @@ def _ops_cached(F):
 
 
 def solve_system(F, n, forms_idx):
-    """Index rows (length n+1) of all projective solutions, in canonical order.
+    """Index rows (length n+1) of the nontrivial projective solutions, in order.
 
     ``forms_idx[j]`` maps variable pairs to coefficient indices and must have
     the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j (the keys
@@ -119,5 +120,4 @@ def solve_system(F, n, forms_idx):
                     + tuple(int(x[pos][r]) for pos in range(lead, n))
                     + (int(lam[r]),)
                 )
-    rows.append((0,) * n + (1,))
     return rows

@@ -530,7 +530,7 @@ class ExtensionField(Field):
 
     kind = "ext"
 
-    def __init__(self, base, modulus, var="t"):
+    def __init__(self, base, modulus):
         if not isinstance(base, Field):
             raise TypeError("base must be a Field")
         if not base.is_exact:
@@ -543,12 +543,11 @@ class ExtensionField(Field):
         if not base.is_one(lead):
             inv = base.inv(lead)
             coeffs = [base.mul(c, inv) for c in coeffs]
-        if not certify_irreducible(Polynomial(base, coeffs, var=var)):
+        if not certify_irreducible(Polynomial(base, coeffs)):
             raise ReducibleModulus(f"modulus {coeffs} is reducible over {base!r}")
         self.base = base
         self.modulus = tuple(coeffs)
         self.degree = len(coeffs) - 1
-        self.var = var
         self._p = base.p if isinstance(base, PrimeField) else None
         self._zero = self._pad([])
         self._one = self._pad([base.one()])
@@ -704,7 +703,7 @@ class ExtensionField(Field):
     def __repr__(self):
         if self.finite:
             return f"GF({self.base.order}^{self.degree})"
-        return f"{self.base!r}[{self.var}]/(deg {self.degree})"
+        return f"{self.base!r}[t]/(deg {self.degree})"
 
 
 class Reals(Field):

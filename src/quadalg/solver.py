@@ -54,25 +54,23 @@ from .fields import (
     polynomial_roots,
 )
 
+MAX_NEWTON_ITER = 100  # Newton steps per restart of the real engine
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tunables shared by the engines; a fixed seed makes runs deterministic."""
+    """Tunables the CLI flags set; a fixed seed makes runs deterministic.
+
+    Not settable: the sweep budget ``fields.ENUMERATION_BUDGET`` and ``MAX_NEWTON_ITER``.
+    """
 
     residual_tol: float = 1e-9
     max_restarts: int = 200
-    max_newton_iter: int = 100
     k_max: int = 4
     seed: int = 0
-    enumeration_budget: int = ENUMERATION_BUDGET
 
     def __post_init__(self):
-        if (
-            self.residual_tol <= 0
-            or self.max_restarts <= 0
-            or self.max_newton_iter <= 0
-            or self.k_max <= 0
-            or self.enumeration_budget <= 0
-        ):
+        if self.residual_tol <= 0 or self.max_restarts <= 0 or self.k_max <= 0:
             raise ValueError("config values must be positive")
 
 
@@ -223,22 +221,13 @@ def perturb_system(S, eps, phis):
 
 
 def affine_jacobian_at_origin(S):
-    """Jacobian of f_j(x) = g_j(x, 1) at x = 0, computed by differentiating the forms."""
-    F = S.field
-    n = S.n
-    point = [F.zero()] * n + [F.one()]
-    jac = [[F.zero()] * n for _ in range(n)]
-    for j, form in enumerate(S.forms):
-        for (a, b), c in form.items():
-            for i in range(n):
-                term = F.zero()
-                if a == i:
-                    term = F.add(term, point[b])
-                if b == i:
-                    term = F.add(term, point[a])
-                if not F.is_zero(term):
-                    jac[j][i] = F.add(jac[j][i], F.mul(c, term))
-    return jac
+    """Jacobian of f_j(x) = g_j(x, 1) at x = 0.
+
+    At (0 : ... : 0 : 1) only the xi_i*lam terms have a nonzero
+    xi_i-derivative, so entry (j, i) is the coefficient of (i, n) in form j.
+    """
+    F, n = S.field, S.n
+    return [[form.get((i, n), F.zero()) for i in range(n)] for form in S.forms]
 
 
 def trivial_jacobian_check(S):
@@ -251,12 +240,9 @@ def trivial_jacobian_check(S):
     F = S.field
     jac = affine_jacobian_at_origin(S)
     mone = F.neg(F.one())
-    for j in range(S.n):
-        for i in range(S.n):
-            want = mone if i == j else F.zero()
-            if not F.eq(jac[j][i], want):
-                return False
-    return True
+    return all(
+        F.eq(jac[j][i], mone if i == j else F.zero()) for j in range(S.n) for i in range(S.n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +286,24 @@ def _require_eigen_form(S):
             )
 
 
-def solve_exhaustive(S, cfg=None):
+def solve_exhaustive(S):
     """All projective solutions over a finite field, complete and duplicate-free.
 
     Sweeps the directions x in P^{n-1}, not all of P^n: each form must read
     g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0 solves the system
     exactly when Q(x) = lam*x, with lam = Q_lead(x) at the leftmost nonzero
-    coordinate of x (scaled to 1).  The trivial point (0 : ... : 0 : 1) comes
-    last; the order is that of ``projective_points(F, n)``.  The budget counts
+    coordinate of x (scaled to 1).  Both backends return the nontrivial points;
+    the trivial point (0 : ... : 0 : 1) is appended here, last, so the order is
+    that of ``projective_points(F, n)``.  ``fields.ENUMERATION_BUDGET`` bounds
     the points swept, |P^{n-1}| + 1.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     F = S.field
     if not F.finite:
         raise UnsupportedField("exhaustive enumeration needs a finite field")
     _require_eigen_form(S)
     total = projective_point_count(F.order, S.n - 1) + 1
-    if total > cfg.enumeration_budget:
-        raise BudgetExceeded(f"{total} projective points exceed budget {cfg.enumeration_budget}")
+    if total > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
     zero = F.zero()
     if ffenum.supports(F):
         forms_idx = [
@@ -332,7 +318,7 @@ def solve_exhaustive(S, cfg=None):
             lam = values[next(i for i, c in enumerate(x) if not F.is_zero(c))]
             if all(F.eq(v, F.mul(lam, c)) for v, c in zip(values, x)):
                 sols.append(x + (lam,))
-        sols.append((zero,) * S.n + (F.one(),))
+    sols.append((zero,) * S.n + (F.one(),))
     _verify_solutions(S, sols)
     return [
         ProjectiveSolution(pt, trivial=all(F.eq(c, zero) for c in pt[: S.n]))
@@ -517,7 +503,7 @@ def _newton_multistart(start, residual, jacobian, rng, cfg, accept):
 
     for _ in range(cfg.max_restarts):
         x = start(rng)
-        for _ in range(cfg.max_newton_iter):
+        for _ in range(MAX_NEWTON_ITER):
             out = accept(x)
             if out is not None:
                 return out
@@ -626,7 +612,7 @@ def _embed_system(S, target):
         alpha = [
             [[emb(a) for a in row] for row in plane] for plane in S.tensor.alpha
         ]
-        tensor = StructureTensor(target, alpha, max_dim=S.n)
+        tensor = StructureTensor(target, alpha)
     pert = None
     if S.perturbation is not None:
         pert = tuple(
@@ -635,9 +621,8 @@ def _embed_system(S, target):
     return QuadraticSystem(target, S.n, forms, tensor=tensor, perturbation=pert)
 
 
-def count_solutions_extension(A_or_S, k, cfg=None):
+def count_solutions_extension(A_or_S, k):
     """Distinct projective solutions over F_{p^k} (multiplicities not counted)."""
-    cfg = cfg if cfg is not None else SolveConfig()
     S = _as_system(A_or_S)
     F = S.field
     if not isinstance(F, PrimeField):
@@ -645,9 +630,9 @@ def count_solutions_extension(A_or_S, k, cfg=None):
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     if k == 1:
-        return len(solve_exhaustive(S, cfg))
+        return len(solve_exhaustive(S))
     target = finite_field(F.p**k)
-    return len(solve_exhaustive(_embed_system(S, target), cfg))
+    return len(solve_exhaustive(_embed_system(S, target)))
 
 
 class GenericityVerdict(Enum):
@@ -679,7 +664,7 @@ def genericity_probe(A_or_S, cfg=None):
     counts = {}
     verdict = GenericityVerdict.LIKELY_GENERIC
     for k in range(1, cfg.k_max + 1):
-        counts[k] = count_solutions_extension(S, k, cfg)
+        counts[k] = count_solutions_extension(S, k)
         if counts[k] > bound:
             verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
     return ProbeReport(F.p, counts, verdict, bound)

@@ -51,6 +51,7 @@ def test_parse_field_spec_aliases():
     assert parse_field_spec("Q") == Rationals()
     assert parse_field_spec("prime:13") == PrimeField(13)
     assert parse_field_spec("F9") == finite_field(9)
+    assert parse_field_spec("gf9") == parse_field_spec("gf:9") == finite_field(9)
     assert parse_field_spec("gf:8") == finite_field(8)
     assert parse_field_spec("real") == Reals()
     assert parse_field_spec("real:1e-6") == Reals(1e-6)
@@ -59,13 +60,15 @@ def test_parse_field_spec_aliases():
     assert parse_field_spec('{"kind":"prime","p":5}') == PrimeField(5)
 
 
-def test_parse_field_spec_rejects_garbage():
+def test_parse_field_spec_rejects_garbage(capsys):
     from quadalg import ParseError
 
-    with pytest.raises(ParseError):
-        parse_field_spec("octonions")
-    with pytest.raises(ParseError):
-        parse_field_spec("prime:four")
+    # "fgf9", "ff25" and "gff9" are not F<q> or gf<q> specs
+    for spec in ("octonions", "prime:four", "fgf9", "ff25", "gff9"):
+        with pytest.raises(ParseError):
+            parse_field_spec(spec)
+        assert main(["witness", "--field", spec]) == 2, spec
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,12 @@ def test_counterexample_file_reparses_identically(tmp_path):
 def test_counterexample_exit_codes(capsys):
     assert main(["counterexample", "--field", "rationals", "--modulus=1,0,1"]) == 5
     assert main(["counterexample", "--field", "prime:3", "--modulus=0,-1,0,1"]) == 5
+    # the dimension d - 1 is checked before the modulus: t^19 (reducible,
+    # degree 19, dimension 18) exits 3, and t^401 + 3 is refused at once
+    assert main(["counterexample", "--field", "prime:3", "--modulus=" + ",".join(["0"] * 19 + ["1"])]) == 3
+    start = time.perf_counter()
+    assert main(["counterexample", "--field", "rationals", "--modulus=" + ",".join(["3"] + ["0"] * 400 + ["1"])]) == 3
+    assert time.perf_counter() - start < 1
     # t^7 - 3: no rational root, then Eisenstein at 3
     assert main(["counterexample", "--field", "rationals", "--modulus=-3,0,0,0,0,0,0,1"]) == 0
     capsys.readouterr()
@@ -228,6 +237,19 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+def test_non_positive_tuning_flag_exit_2(tmp_path, capsys):
+    path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(2)))
+    for argv in (
+        ["bezout", path, "--kmax", "0"],
+        ["spectrum", path, "--restarts", "0"],
+        ["solve", path, "--engine", "exhaustive", "--tol", "-1"],
+        ["perturb", path, "--kmax", "-2"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +420,8 @@ def test_malformed_laurent_scalar_exit_2(tmp_path, capsys):
 
 
 def test_dimension_beyond_max_dim_exit_3(tmp_path, capsys):
+    # the library builds any dimension; only a file is capped at MAX_DIM = 16
+    assert zero_algebra(PrimeField(3), 17).dim == 17
     path = tmp_path / "zero17.json"
     formats.save_json(path, {"field": {"kind": "prime", "p": 3}, "dim": 17, "products": {}})
     assert main(["check", str(path), json.dumps([0] * 17)]) == 3

@@ -35,6 +35,7 @@ from quadalg import (
     unit_eigenpair,
     zero_algebra,
 )
+from quadalg import solver
 from quadalg.solver import draw_perturbation, normalize_point, projective_points
 
 Q = Rationals()
@@ -132,10 +133,14 @@ def test_jacobian_check_detects_a_broken_system():
     broken = QuadraticSystem(
         F5, 2, [{k: v for k, v in f.items() if k[1] != 2} for f in S.forms]
     )
-    assert not trivial_jacobian_check(broken)
-    # the lam-eliminating sweep refuses forms without the -lam*xi_j terms
-    with pytest.raises(ValueError, match="lam terms"):
-        solve_exhaustive(broken)
+    # a lam coefficient of 2 at (0, n), and an extra (1, n) term in form 0
+    doubled = QuadraticSystem(F5, 2, [{**S.forms[0], (0, 2): 2}, S.forms[1]])
+    extra = QuadraticSystem(F5, 2, [{**S.forms[0], (1, 2): 1}, S.forms[1]])
+    for system in (broken, doubled, extra):
+        assert not trivial_jacobian_check(system)
+        # the lam-eliminating sweep refuses forms not reading Q_j(x) - lam*xi_j
+        with pytest.raises(ValueError, match="lam terms"):
+            solve_exhaustive(system)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +177,18 @@ def test_exhaustive_is_duplicate_free_and_verified():
         assert sum(1 for s in sols if s.trivial) == 1
 
 
-def test_exhaustive_budget_exceeded():
+def test_exhaustive_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(solver, "ENUMERATION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        solve_exhaustive(build_system(zero_algebra(F5, 3)), SolveConfig(enumeration_budget=10))
+        solve_exhaustive(build_system(zero_algebra(F5, 3)))
 
 
 def test_exhaustive_dim1_does_not_list_the_field(monkeypatch):
     # P^0 is one point: sweeping it must not materialize GF(4000037)
     F = PrimeField(4000037)
     monkeypatch.setattr(F, "elements", lambda: pytest.fail("the P^0 sweep listed the field"))
-    sols = solve_exhaustive(build_system(StructureTensor(F, [[[2]]])), SolveConfig(enumeration_budget=2))
+    monkeypatch.setattr(solver, "ENUMERATION_BUDGET", 2)
+    sols = solve_exhaustive(build_system(StructureTensor(F, [[[2]]])))
     assert [s.coords for s in sols] == [(1, 2), (0, 1)]
     assert list(projective_points(F, 0)) == [(1,)]
 
@@ -369,11 +376,12 @@ def test_real_engine_lambda_is_rayleigh_value():
         assert lam == pytest.approx(float(np.dot(v, x)), abs=1e-7)
 
 
-def test_real_engine_exhausts_when_budget_is_too_small():
+def test_real_engine_exhausts_when_budget_is_too_small(monkeypatch):
     rng = random.Random(89)
     A = random_structure_tensor(R, 5, rng)
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
     with pytest.raises(SearchExhausted):
-        solve_real(A, SolveConfig(residual_tol=1e-15, max_restarts=1, max_newton_iter=1))
+        solve_real(A, SolveConfig(residual_tol=1e-15, max_restarts=1))
 
 
 def test_real_engine_rejects_exact_fields():
