@@ -94,9 +94,9 @@ def parse_field_spec(spec):
         if low.startswith("ext:"):
             _, p, coeffs = low.split(":", 2)
             return ExtensionField(PrimeField(int(p)), [int(c) for c in coeffs.split(",")])
-        if low.startswith("laurent:"):
-            head, prec = low.rsplit(":", 1)
-            return LaurentSeries(parse_field_spec(head.split(":", 1)[1]), int(prec))
+        m = re.fullmatch(r"laurent:(.+):(.*)", low)
+        if m:
+            return LaurentSeries(parse_field_spec(m.group(1)), int(m.group(2)))
     except (ValueError, ReducibleModulus) as exc:
         raise ParseError(f"bad field spec {spec!r}: {exc}") from exc
     raise ParseError(f"unrecognized field spec {spec!r}")

@@ -1,11 +1,12 @@
-"""Vectorized exhaustive enumeration over small finite fields.
+"""Vectorized exhaustive enumeration over the finite fields within budget.
 
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
-Index 0 is zero and index 1 is one in both cases.  Over GF(p^k) the sweep
-reads the field's own discrete-log tables (``fields.LogTables``) through
-numpy views: multiplication by log/antilog lookup, addition by Zech's
-logarithm.
+Index 0 is zero and index 1 is one in both cases.  GF(p^k) of order up to
+``fields.INDEXED_ORDER_LIMIT`` is served by its discrete-log tables
+(``fields.LogTables``): products by log/antilog lookup, sums by Zech's
+logarithm.  Larger GF(p^k) works on the base-p digits of the indices.  A sweep
+within the budget has q <= 10^7, so every product formed fits in int64.
 
 The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
 x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
@@ -14,8 +15,7 @@ sweep runs over the directions x in P^{n-1} only and derives lam; the caller,
 ``solver.solve_exhaustive``, appends the trivial point (0 : ... : 0 : 1).
 Directions are enumerated in canonical order (leftmost-nonzero-is-1, grouped
 by lead position, tails in mixed radix with the leftmost free digit most
-significant), so the rows come out in the order of the canonical P^n
-enumeration in the solver module.
+significant), so the rows come out in canonical P^n order.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -23,16 +23,9 @@ the solver module, which imports it) does not load numpy.
 
 from functools import lru_cache
 
-from .fields import INDEXED_ORDER_LIMIT, ExtensionField, PrimeField
+from .fields import PrimeField
 
 _CHUNK = 1 << 16
-
-
-def supports(F):
-    """True when the index backend can handle this field."""
-    if isinstance(F, PrimeField):
-        return F.p <= INDEXED_ORDER_LIMIT
-    return isinstance(F, ExtensionField) and F.has_log_tables
 
 
 class _PrimeOps:
@@ -70,11 +63,43 @@ class _ExtOps:
         return np.where(a == 0, b, np.where(b == 0, a, out))
 
 
+class _PolyOps:
+    """GF(p^k) on the k base-p digits of each index, with no tables: a
+    schoolbook product, then reduction by the rows t^(k+i) mod f, i < k - 1."""
+
+    def __init__(self, F):
+        import numpy as np
+
+        p, k = F.base.p, F.degree
+        self.p, self.k, self.place = p, k, p ** np.arange(k, dtype=np.int64)
+        rows, x = [], F.scalar_from_index(p ** (k - 1))
+        for _ in range(k - 1):
+            x = F.mul(x, F.gen())
+            rows.append(x)
+        self.red = np.array(rows, dtype=np.int64).reshape(k - 1, k).T.copy()
+
+    def _digits(self, a):
+        # digit s of every index along axis 0
+        return a // self.place[:, None] % self.p
+
+    def mul(self, a, b):
+        import numpy as np
+
+        da, db, k = self._digits(a), self._digits(b), self.k
+        prod = np.zeros((2 * k - 1,) + np.broadcast_shapes(da.shape, db.shape)[1:], np.int64)
+        for i in range(k):
+            prod[i : i + k] += da[i] * db
+        return self.place @ ((prod[:k] + self.red @ prod[k:]) % self.p)
+
+    def add(self, a, b):
+        return self.place @ ((self._digits(a) + self._digits(b)) % self.p)
+
+
 @lru_cache(maxsize=32)
 def _ops_cached(F):
     if isinstance(F, PrimeField):
         return _PrimeOps(F.p)
-    return _ExtOps(F)
+    return _ExtOps(F) if F.has_log_tables else _PolyOps(F)
 
 
 def solve_system(F, n, forms_idx):

@@ -24,6 +24,7 @@ tables.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,8 +51,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # search's evaluations, the rational root search's trial divisions.
 ENUMERATION_BUDGET = 10_000_000
 
-# Largest order of a field addressed by integer index: GF(p) swept by
-# ``ffenum``, and GF(p^k) with discrete-log tables (see ``LogTables``).
+# Largest order of a GF(p^k) with discrete-log tables (see ``LogTables``);
+# ``ffenum`` sweeps larger fields on base-p digits, with no tables.
 INDEXED_ORDER_LIMIT = 1 << 16
 
 
@@ -713,8 +714,8 @@ class Reals(Field):
     is_exact = False
 
     def __init__(self, tolerance=1e-10):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
         self.tolerance = tolerance
 
     def add(self, a, b):
@@ -771,9 +772,10 @@ class Reals(Field):
         return float(a)
 
     def scalar_from_json(self, v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"not a real scalar: {v!r}")
-        return float(v)
+        # NaN fails the comparison; an int beyond it has no double to round to
+        if not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max:
+            return float(v)
+        raise ParseError(f"not a finite real scalar: {v!r}")
 
     def __eq__(self, other):
         return isinstance(other, Reals) and other.tolerance == self.tolerance

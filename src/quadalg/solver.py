@@ -13,11 +13,9 @@ eigenvector.  Engines:
 
 * ``solve_exhaustive``        -- sweep over a finite field (the oracle
                                  engine): lam is eliminated, so it sweeps the
-                                 directions x in P^{n-1}, derives lam from
-                                 x, and appends the trivial point; the
-                                 vectorized index backend of ``ffenum``
-                                 wherever it can index the field, a scalar
-                                 loop otherwise
+                                 directions x in P^{n-1} through ``ffenum``,
+                                 derives lam from x, and appends the trivial
+                                 point; n = 1 is answered in closed form
 * ``solve_exact_dim2``        -- exact rational engine for n = 2 via the
                                  proportionality cubic
 * ``solve_real``              -- multistart damped Newton over the reals
@@ -29,7 +27,6 @@ Every returned solution is re-verified through an evaluation route
 independent of the engine that produced it.
 """
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -250,21 +247,6 @@ def trivial_jacobian_check(S):
 # ---------------------------------------------------------------------------
 
 
-def projective_points(F, n):
-    """Canonical representatives of P^n(F): leftmost nonzero coordinate is 1."""
-    # P^0 is the single point (1), so its sweep must not list the field
-    elems = list(F.elements()) if n else []
-    one, zero = F.one(), F.zero()
-    for lead in range(n + 1):
-        prefix = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=n - lead):
-            yield prefix + tail
-
-
-def projective_point_count(q, n):
-    return (q ** (n + 1) - 1) // (q - 1)
-
-
 def _verify_solutions(S, sols):
     F = S.field
     for pt in sols:
@@ -275,49 +257,38 @@ def _verify_solutions(S, sols):
 
 def _require_eigen_form(S):
     """Raise unless every form reads g_j = Q_j(x) - lam*x_j, lam-free Q_j."""
-    F, n = S.field, S.n
-    mone = F.neg(F.one())
-    for j, form in enumerate(S.forms):
-        lam_terms = {key: c for key, c in form.items() if n in key}
-        if lam_terms.keys() != {(j, n)} or not F.eq(lam_terms[(j, n)], mone):
-            raise ValueError(
-                f"form {j} must read Q_{j}(x) - lam*x_{j}: its lam terms must be "
-                f"exactly {{({j}, {n}): -1}}, got {lam_terms!r}"
-            )
+    n = S.n
+    if not trivial_jacobian_check(S) or any((n, n) in form for form in S.forms):
+        raise ValueError(f"form j must read Q_j(x) - lam*x_j, its lam terms {{(j, {n}): -1}}")
 
 
 def solve_exhaustive(S):
     """All projective solutions over a finite field, complete and duplicate-free.
 
-    Sweeps the directions x in P^{n-1}, not all of P^n: each form must read
-    g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0 solves the system
-    exactly when Q(x) = lam*x, with lam = Q_lead(x) at the leftmost nonzero
-    coordinate of x (scaled to 1).  Both backends return the nontrivial points;
-    the trivial point (0 : ... : 0 : 1) is appended here, last, so the order is
-    that of ``projective_points(F, n)``.  ``fields.ENUMERATION_BUDGET`` bounds
-    the points swept, |P^{n-1}| + 1.
+    Each form must read g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0
+    solves the system exactly when Q(x) = lam*x, with lam = Q_lead(x) at the
+    leftmost nonzero coordinate of x (scaled to 1).  ``ffenum.solve_system``
+    sweeps the directions x in P^{n-1}; P^0 is the single direction (1).  The
+    trivial point (0 : ... : 0 : 1) comes last, so the order is that of the
+    canonical enumeration of P^n.  ``fields.ENUMERATION_BUDGET`` bounds the
+    points swept, |P^{n-1}| + 1, and with them the sweep's time.
     """
     F = S.field
     if not F.finite:
         raise UnsupportedField("exhaustive enumeration needs a finite field")
     _require_eigen_form(S)
-    total = projective_point_count(F.order, S.n - 1) + 1
+    total = (F.order**S.n - 1) // (F.order - 1) + 1
     if total > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
     zero = F.zero()
-    if ffenum.supports(F):
+    if S.n == 1:
+        sols = [(F.one(), S.forms[0].get((0, 0), zero))]
+    else:
         forms_idx = [
             {key: F.scalar_index(c) for key, c in form.items()} for form in S.forms
         ]
         rows = ffenum.solve_system(F, S.n, forms_idx)
         sols = [tuple(F.scalar_from_index(i) for i in row) for row in rows]
-    else:
-        sols = []
-        for x in projective_points(F, S.n - 1):
-            values = S.evaluate(x + (zero,))
-            lam = values[next(i for i, c in enumerate(x) if not F.is_zero(c))]
-            if all(F.eq(v, F.mul(lam, c)) for v, c in zip(values, x)):
-                sols.append(x + (lam,))
     sols.append((zero,) * S.n + (F.one(),))
     _verify_solutions(S, sols)
     return [

@@ -63,8 +63,10 @@ def test_parse_field_spec_aliases():
 def test_parse_field_spec_rejects_garbage(capsys):
     from quadalg import ParseError
 
-    # "fgf9", "ff25" and "gff9" are not F<q> or gf<q> specs
-    for spec in ("octonions", "prime:four", "fgf9", "ff25", "gff9"):
+    # "fgf9", "ff25" and "gff9" are not F<q> or gf<q> specs; a Laurent spec
+    # needs a base alias, and a real tolerance must be finite
+    for spec in ("octonions", "prime:four", "fgf9", "ff25", "gff9", "laurent:8", "laurent:",
+                 "real:nan", "real:inf"):
         with pytest.raises(ParseError):
             parse_field_spec(spec)
         assert main(["witness", "--field", spec]) == 2, spec
@@ -416,6 +418,21 @@ def test_malformed_laurent_scalar_exit_2(tmp_path, capsys):
     path = tmp_path / "laurent.json"
     formats.save_json(path, {"field": field, "dim": 1, "alpha": [[[{"nu": "x", "coeffs": [1]}]]]})
     assert main(["check", str(path), "[1]"]) == 2
+    capsys.readouterr()
+
+
+def test_non_finite_real_file_exit_2(tmp_path, capsys):
+    # json reads the literals NaN and Infinity, and an int may have no double
+    path = tmp_path / "real.json"
+    huge = "1" + "0" * 400
+    for tol, alpha in [("NaN", "1.0"), ("Infinity", "1.0"), ("1e-10", "NaN"),
+                       ("1e-10", "-Infinity"), ("1e-10", huge)]:
+        path.write_text(
+            f'{{"field": {{"kind": "real", "tol": {tol}}}, "dim": 1, "alpha": [[[{alpha}]]]}}'
+        )
+        for argv in (["check", str(path), "[1.0]"], ["spectrum", str(path)],
+                     ["solve", str(path), "--engine", "real"]):
+            assert main(argv) == 2, (tol, alpha, argv)
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 """System builder, solution engines, extension counting, genericity probe."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from quadalg import (
     finite_field,
     genericity_probe,
     perturb_system,
+    polynomial_roots,
     random_structure_tensor,
     solve_exact_dim2,
     solve_exhaustive,
@@ -36,7 +38,7 @@ from quadalg import (
     zero_algebra,
 )
 from quadalg import solver
-from quadalg.solver import draw_perturbation, normalize_point, projective_points
+from quadalg.solver import draw_perturbation, normalize_point
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -58,6 +60,24 @@ def complex_algebra():
 
 def diagonal_f5():
     return StructureTensor(F5, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+
+
+def projective_points(F, n):
+    """The P^n oracle: canonical representatives (leftmost nonzero coordinate
+    is 1), grouped by the position of that 1, tails in mixed radix."""
+    elems = list(F.elements())
+    for lead in range(n + 1):
+        for tail in itertools.product(elems, repeat=n - lead):
+            yield (F.zero(),) * lead + (F.one(),) + tail
+
+
+def form_cubic(S):
+    """Coefficients, lowest first, of c(u) = Q_1(1, u) u - Q_2(1, u) for a dim-2
+    system: (1 : u) is an eigen-direction exactly when c(u) = 0, and (0 : 1)
+    exactly when the u^3 coefficient is zero."""
+    F = S.field
+    q1, q2 = ([form.get(key, F.zero()) for key in ((0, 0), (0, 1), (1, 1))] for form in S.forms)
+    return [F.neg(q2[0]), F.sub(q1[0], q2[1]), F.sub(q1[1], q2[2]), q1[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +161,10 @@ def test_jacobian_check_detects_a_broken_system():
         # the lam-eliminating sweep refuses forms not reading Q_j(x) - lam*xi_j
         with pytest.raises(ValueError, match="lam terms"):
             solve_exhaustive(system)
+    # a lam^2 term leaves the Jacobian at the origin alone, but not the sweep
+    squared = QuadraticSystem(F5, 2, [{**S.forms[0], (2, 2): 1}, S.forms[1]])
+    with pytest.raises(ValueError, match="lam terms"):
+        solve_exhaustive(squared)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +208,14 @@ def test_exhaustive_budget_exceeded(monkeypatch):
 
 
 def test_exhaustive_dim1_does_not_list_the_field(monkeypatch):
-    # P^0 is one point: sweeping it must not materialize GF(4000037)
-    F = PrimeField(4000037)
-    monkeypatch.setattr(F, "elements", lambda: pytest.fail("the P^0 sweep listed the field"))
+    # P^0 is one point: sweeping it must not materialize the field; the indices
+    # of GF(3^40) and of the prime 2^64 - 59 do not even fit in int64
     monkeypatch.setattr(solver, "ENUMERATION_BUDGET", 2)
-    sols = solve_exhaustive(build_system(StructureTensor(F, [[[2]]])))
-    assert [s.coords for s in sols] == [(1, 2), (0, 1)]
-    assert list(projective_points(F, 0)) == [(1,)]
+    for F in (PrimeField(4000037), finite_field(3**40), PrimeField(2**64 - 59)):
+        monkeypatch.setattr(F, "elements", lambda: pytest.fail("the P^0 sweep listed the field"))
+        c = F.from_int(-2)
+        sols = solve_exhaustive(build_system(StructureTensor(F, [[[c]]])))
+        assert [s.coords for s in sols] == [(F.one(), c), (F.zero(), F.one())]
 
 
 def test_exhaustive_rejects_infinite_fields():
@@ -206,8 +231,6 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
     rng = random.Random(53)
     chunk = ffenum._CHUNK
     cases = [(F, n, chunk) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
-    # the largest prime ffenum indexes: its products come close to 2^32
-    cases.append((PrimeField(65521), 1, chunk))
     # chunks shorter than the lead blocks (25 and 81 points), so that chunk
     # boundaries fall inside a block
     cases += [(F5, 3, 7), (finite_field(9), 3, 10)]
@@ -230,36 +253,74 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_ffenum_table_arithmetic_matches_scalar_route(q):
-    # the sweep's Zech addition and log/antilog products, on every pair of
-    # indices, against digit-wise addition and polynomial multiply-and-reduce
-    # on coefficient tuples
+    # the sweep's Zech addition and log/antilog products, and the digit ops'
+    # schoolbook products, on every pair of indices, against digit-wise
+    # addition and polynomial multiply-and-reduce on coefficient tuples
     import numpy as np
 
     from quadalg import ffenum
 
     F = finite_field(q)
     elems = list(F.elements())  # index order
-    ops = ffenum._ExtOps(F)
     a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
     pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
-    assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
-    assert [elems[i] for i in ops.mul(a, b).tolist()] == [F._poly_mul(x, y) for x, y in pairs]
+    for ops in (ffenum._ExtOps(F), ffenum._PolyOps(F)):
+        assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
+        assert [elems[i] for i in ops.mul(a, b).tolist()] == [F._poly_mul(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("q", [625, 3**10])
+def test_ffenum_digit_arithmetic_matches_log_tables(q):
+    # the digit ops serve GF(p^k) above 2^16; below it both routes exist
+    import numpy as np
+
+    from quadalg import ffenum
+
+    F = finite_field(q)
+    tables, digits = ffenum._ExtOps(F), ffenum._PolyOps(F)
+    if q == 625:
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        a, b = np.random.default_rng(67).integers(0, q, size=(2, 10**5))
+    for op in ("add", "mul"):
+        assert (getattr(digits, op)(a, b) == getattr(tables, op)(a, b)).all()
+        # solve_system passes each coefficient as a plain int on the left
+        for c in (0, 1, 2, int(a[-1]), q - 1):
+            assert (getattr(digits, op)(c, b) == getattr(tables, op)(c, b)).all()
 
 
 def test_scalar_sweep_matches_scalar_reference(monkeypatch):
-    # the scalar branch serves fields ffenum cannot index; refusing every
-    # field sends small ones through it, against the full P^n reference
+    # the digit ops serve GF(p^k) above 2^16; forcing them on small fields
+    # checks their sweep against the full P^n reference, with chunks that
+    # end inside a lead block (of 9, 27 and 81 points)
     from quadalg import ffenum
 
-    monkeypatch.setattr(ffenum, "supports", lambda F: False)
+    monkeypatch.setattr(ffenum, "_ops_cached", ffenum._PolyOps)
     rng = random.Random(61)
-    for F, n in [(F3, 1), (F3, 3), (F5, 2), (finite_field(9), 2)]:
+    cases = [(finite_field(q), 2, 1 << 16) for q in (9, 25, 27)]
+    cases += [(finite_field(9), 2, 4), (finite_field(27), 2, 10), (finite_field(9), 3, 10)]
+    for F, n, chunk in cases:
+        monkeypatch.setattr(ffenum, "_CHUNK", chunk)
         A = random_structure_tensor(F, n, rng, commutative=False)
         systems = [build_system(zero_algebra(F, n)), build_system(A)]
         systems.append(perturb_system(systems[1], *draw_perturbation(F, n, rng)))
         for S in systems:
             ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
             assert [s.coords for s in solve_exhaustive(S)] == ref
+
+
+def test_exhaustive_over_gf65537_reads_off_the_cubic():
+    # a prime above 2^16: the zero algebra's q + 2 rows in canonical order, and
+    # a random algebra's directions exactly the roots of its binary cubic
+    F = PrimeField(65537)
+    q = F.order
+    sols = solve_exhaustive(build_system(zero_algebra(F, 2)))
+    assert [s.coords for s in sols] == [(1, u, 0) for u in range(q)] + [(0, 1, 0), (0, 0, 1)]
+    S = build_system(random_structure_tensor(F, 2, random.Random(79), commutative=False))
+    c = form_cubic(S)
+    dirs = [(1, u) for u in polynomial_roots(Polynomial(F, c))]
+    dirs += [(0, 1)] if F.is_zero(c[3]) else []
+    assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
 
 
 def test_scaling_invariance_of_solutions():
@@ -445,6 +506,21 @@ def test_extension_counts_match_cubic_oracle_random():
         for k in (1, 2):
             E = finite_field(5**k)
             assert count_solutions_extension(A, k) == cubic_count_oracle(A, E)
+
+
+def test_extension_counts_are_galois_stable_above_2_16():
+    # over GF(5^7), beyond the log tables: the eigen-directions are the roots
+    # of a binary cubic over F_5, whose irreducible factors have degree <= 3,
+    # and neither 2 nor 3 divides 7, so no new direction appears
+    rng = random.Random(83)
+    A = random_structure_tensor(F5, 2, rng)
+    B = random_structure_tensor(F5, 2, rng, commutative=False)
+    systems = [build_system(A), build_system(B)]
+    systems.append(perturb_system(systems[1], *draw_perturbation(F5, 2, rng)))
+    for S in systems:
+        if all(F5.is_zero(c) for c in form_cubic(S)):
+            continue
+        assert count_solutions_extension(S, 7) == count_solutions_extension(S, 1)
 
 
 def test_extension_counts_require_prime_base():
