@@ -417,10 +417,11 @@ def classify_spectrum(A, cfg=None):
     Over a finite field the witnesses are read off the nontrivial solutions
     of ``solver.solve_exhaustive`` (certified), within the fixed
     ``fields.ENUMERATION_BUDGET``: a larger sweep raises BudgetExceeded.
-    Over the reals the decision is delegated to targeted numeric searches
-    and the report is flagged as uncertified.  Over the rationals only
-    dimensions 1 and 2 are supported (exact elimination); larger rational
-    problems are refused.
+    Over the reals both witnesses come from the solver's unit eigen-search
+    (an idempotent u/lam off a pair with lam != 0, a nilpotent with lam
+    pinned to 0) and the report is flagged as uncertified.  Over the
+    rationals only dimensions 1 and 2 are supported (exact elimination);
+    larger rational problems are refused.
     """
     F = A.field
     if isinstance(F, Rationals):

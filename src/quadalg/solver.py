@@ -18,7 +18,9 @@ eigenvector.  Engines:
                                  point; n = 1 is answered in closed form
 * ``solve_exact_dim2``        -- exact rational engine for n = 2 via the
                                  proportionality cubic
-* ``solve_real``              -- multistart damped Newton over the reals
+* ``solve_real``              -- multistart damped Newton over the reals for
+                                 unit eigenpairs, the search that the real
+                                 idempotent and nilpotent searches read too
 * ``count_solutions_extension`` / ``genericity_probe`` -- distinct-point
                                  counts over extension fields F_{p^k} and the
                                  bounded-count heuristic built on them
@@ -27,6 +29,7 @@ Every returned solution is re-verified through an evaluation route
 independent of the engine that produced it.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,8 +70,8 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.max_restarts <= 0 or self.k_max <= 0:
-            raise ValueError("config values must be positive")
+        if not 0 < self.residual_tol < math.inf or self.max_restarts <= 0 or self.k_max <= 0:
+            raise ValueError("config values must be positive, and residual_tol finite")
 
 
 @dataclass(frozen=True)
@@ -373,84 +376,99 @@ def solve_exact_dim2(A):
 # without loading it.
 
 
-def _sym_array(A):
-    import numpy as np
+def _unit_eigenpairs(A, cfg, seed, lam=None):
+    """Unit eigenpairs (u, mu, residual) of a real algebra, by multistart damped Newton.
 
-    T = np.array(A.alpha, dtype=float)
-    return 0.5 * (T + T.transpose(1, 0, 2))
-
-
-def _v_of(S, x):
-    import numpy as np
-
-    return np.einsum("ikj,i,k->j", S, x, x)
-
-
-def _jac_v(S, x):
-    import numpy as np
-
-    # d(Vx)_j / dx_i = 2 * sum_k S[i,k,j] x_k
-    return 2.0 * np.einsum("ikj,k->ji", S, x)
-
-
-def _random_unit(rng, n):
-    import numpy as np
-
-    x = rng.normal(size=n)
-    return x / np.linalg.norm(x)
-
-
-def solve_real(A, cfg=None):
-    """One eigenpair of a real algebra by multistart damped Newton.
-
-    Works on the augmented system (Vx - lam*x = 0, |x|^2 = 1) with
-    lam seeded as <Vx, x>; restarts are independent and deterministic for a
-    fixed seed.  A real eigenvector always exists for finite-dimensional real
-    algebras, so exhausting the restarts signals a bug, not a math outcome.
+    Solves Vu - mu*u = 0, |u|^2 = 1 from unit starts drawn with ``seed``; a
+    restart yields at most one pair, once |Vu - mu*u| <= ``cfg.residual_tol``
+    at the normalized iterate.  With ``lam=None`` the unknowns are (u, mu),
+    mu seeded as <Vu, u>; otherwise mu is pinned to ``lam`` and the n+1
+    equations in u are solved by least squares.
     """
     import numpy as np
 
-    cfg = cfg if cfg is not None else SolveConfig()
-    F = A.field
-    if not isinstance(F, Reals):
+    if not isinstance(A.field, Reals):
         raise UnsupportedField("the real engine needs a Reals algebra")
     n = A.dim
-    S = _sym_array(A)
+    T = np.array(A.alpha, dtype=float)
+    S = 0.5 * (T + T.transpose(1, 0, 2))  # symmetric part: Vu depends on it alone
+    free = lam is None
 
-    def aug_residual(z):
-        x, lam = z[:n], z[n]
-        return np.concatenate([_v_of(S, x) - lam * x, [x @ x - 1.0]])
+    def square(u):
+        return np.einsum("ikj,i,k->j", S, u, u)
 
-    def aug_jacobian(z):
-        x, lam = z[:n], z[n]
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = _jac_v(S, x) - lam * np.eye(n)
-        J[:n, n] = -x
-        J[n, :n] = 2.0 * x
+    # mu = 0 (the nilpotent search) skips the shifts by mu: they change no
+    # value and took about a tenth of its time
+    def shifted(u, mu):  # Vu - mu*u
+        return square(u) - mu * u if mu else square(u)
+
+    def residual(z):
+        u, mu = (z[:n], z[n]) if free else (z, lam)
+        return np.concatenate([shifted(u, mu), [u @ u - 1.0]])
+
+    def jacobian(z):
+        u, mu = (z[:n], z[n]) if free else (z, lam)
+        J = np.zeros((n + 1, n + 1 if free else n))
+        # d(Vu)_j / du_i = 2 * sum_k S[i,k,j] u_k
+        J[:n, :n] = 2.0 * np.einsum("ikj,k->ji", S, u)
+        if mu:
+            J[:n, :n] -= mu * np.eye(n)
+        if free:
+            J[:n, n] = -u
+        J[n, :n] = 2.0 * u
         return J
 
-    def start(rng):
-        x = _random_unit(rng, n)
-        return np.concatenate([x, [x @ _v_of(S, x)]])
+    rng = np.random.default_rng(seed)
+    for _ in range(cfg.max_restarts):
+        u = rng.normal(size=n)
+        u = u / np.linalg.norm(u)
+        z = np.concatenate([u, [u @ square(u)]]) if free else u
+        for _ in range(MAX_NEWTON_ITER):
+            nrm = np.linalg.norm(z[:n])
+            if nrm >= 1e-6:  # smaller iterates drift to 0, not to a unit root
+                u = z[:n] / nrm
+                mu = u @ square(u) if free else lam
+                res = np.linalg.norm(shifted(u, mu))
+                if res <= cfg.residual_tol:
+                    yield u, mu, res
+                    break
+            H = residual(z)
+            J = jacobian(z)
+            try:
+                if free:
+                    delta = np.linalg.solve(J, -H)
+                else:
+                    delta = np.linalg.lstsq(J, -H, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                break
+            base = np.linalg.norm(H)
+            t = 1.0
+            while t > 1e-12:
+                if np.linalg.norm(residual(z + t * delta)) < (1.0 - 1e-4 * t) * base:
+                    break
+                t *= 0.5
+            if t <= 1e-12:
+                break
+            z = z + t * delta
+            if not np.all(np.isfinite(z)):
+                break
 
-    def accept(z):
-        nrm = np.linalg.norm(z[:n])
-        if nrm > 1e-12:
-            xu = z[:n] / nrm
-            lam_u = xu @ _v_of(S, xu)
-            res = np.linalg.norm(_v_of(S, xu) - lam_u * xu)
-            if res <= cfg.residual_tol:
-                coords = np.concatenate([xu, [lam_u]])
-                coords = coords / coords[int(np.argmax(np.abs(coords)))]
-                return ProjectiveSolution(
-                    tuple(float(c) for c in coords), trivial=False, residual=float(res)
-                )
-        return None
 
-    rng = np.random.default_rng(cfg.seed)
-    sol = _newton_multistart(start, aug_residual, aug_jacobian, rng, cfg, accept)
-    if sol is not None:
-        return sol
+def solve_real(A, cfg=None):
+    """One eigenpair of a real algebra: the first pair of the unit eigen-search.
+
+    The search (``_unit_eigenpairs``, lam free and seeded as <Vx, x>) also
+    feeds the idempotent and absolute-nilpotent searches; restarts are
+    deterministic for a fixed seed.  A real eigenvector always exists for
+    finite-dimensional real algebras, so exhausting the restarts signals a
+    bug, not a math outcome.
+    """
+    cfg = cfg if cfg is not None else SolveConfig()
+    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed):
+        coords = [*u, mu]
+        pivot = max(coords, key=abs)  # the first coordinate of largest modulus
+        coords = tuple(float(c / pivot) for c in coords)
+        return ProjectiveSolution(coords, trivial=False, residual=float(res))
     raise SearchExhausted(
         f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
     )
@@ -468,97 +486,26 @@ def unit_eigenpair(A, sol):
     return x / s, sol.coords[n] / s
 
 
-def _newton_multistart(start, residual, jacobian, rng, cfg, accept):
-    """Damped Newton from start(rng) draws; returns the first accepted value or None."""
-    import numpy as np
+def find_idempotent_real(A, cfg=None):
+    """Search for x with x*x = x; returns the element or None (not a nonexistence proof).
 
-    for _ in range(cfg.max_restarts):
-        x = start(rng)
-        for _ in range(MAX_NEWTON_ITER):
-            out = accept(x)
-            if out is not None:
-                return out
-            H = residual(x)
-            J = jacobian(x)
-            try:
-                if J.shape[0] == J.shape[1]:
-                    delta = np.linalg.solve(J, -H)
-                else:
-                    delta = np.linalg.lstsq(J, -H, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            base = np.linalg.norm(H)
-            t = 1.0
-            while t > 1e-12:
-                if np.linalg.norm(residual(x + t * delta)) < (1.0 - 1e-4 * t) * base:
-                    break
-                t *= 0.5
-            if t <= 1e-12:
-                break
-            x = x + t * delta
-            if not np.all(np.isfinite(x)):
-                break
+    A unit pair Vu = mu*u with mu != 0 rescales to the idempotent x = u/mu,
+    whose residual |x*x - x| is |Vu - mu*u| / mu^2; the first pair with that
+    within ``residual_tol`` and |x| = 1/|mu| >= 1e-3 is returned.
+    """
+    cfg = cfg if cfg is not None else SolveConfig()
+    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed + 1):
+        if 0 < abs(mu) <= 1e3 and res <= cfg.residual_tol * mu * mu:
+            return tuple(float(c) for c in u / mu)
     return None
 
 
-def find_idempotent_real(A, cfg=None):
-    """Search for x with x*x = x; returns the element or None (not a nonexistence proof)."""
-    import numpy as np
-
-    cfg = cfg if cfg is not None else SolveConfig()
-    S = _sym_array(A)
-    n = A.dim
-
-    def accept(x):
-        # idempotents are bounded away from 0, so tiny iterates are drift to
-        # the trivial root of Vx - x
-        if np.linalg.norm(x) < 1e-3:
-            return None
-        if np.linalg.norm(_v_of(S, x) - x) <= cfg.residual_tol:
-            return tuple(float(c) for c in x)
-        return None
-
-    rng = np.random.default_rng(cfg.seed + 1)
-    return _newton_multistart(
-        lambda rng: _random_unit(rng, n),
-        lambda x: _v_of(S, x) - x,
-        lambda x: _jac_v(S, x) - np.eye(n),
-        rng,
-        cfg,
-        accept,
-    )
-
-
 def find_absolute_nilpotent_real(A, cfg=None):
-    """Search for unit x with x*x = 0; returns the element or None."""
-    import numpy as np
-
+    """Search for unit x with x*x = 0 (the unit search with lam pinned to 0)."""
     cfg = cfg if cfg is not None else SolveConfig()
-    S = _sym_array(A)
-    n = A.dim
-
-    def residual(x):
-        return np.concatenate([_v_of(S, x), [x @ x - 1.0]])
-
-    def jacobian(x):
-        J = np.zeros((n + 1, n))
-        J[:n] = _jac_v(S, x)
-        J[n] = 2.0 * x
-        return J
-
-    def accept(x):
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-6:
-            return None
-        xu = x / nrm
-        if np.linalg.norm(_v_of(S, xu)) <= cfg.residual_tol:
-            return tuple(float(c) for c in xu)
-        return None
-
-    rng = np.random.default_rng(cfg.seed + 2)
-    return _newton_multistart(
-        lambda rng: _random_unit(rng, n), residual, jacobian, rng, cfg, accept
-    )
+    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, lam=0.0):
+        return tuple(float(c) for c in u)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +547,9 @@ def count_solutions_extension(A_or_S, k):
         raise UnsupportedField("extension counting needs a prime base field")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if k == 1:
+    if k == 1 or S.n == 1:
+        # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
+        # every extension, so GF(p^k) is never built for it
         return len(solve_exhaustive(S))
     target = finite_field(F.p**k)
     return len(solve_exhaustive(_embed_system(S, target)))

@@ -19,6 +19,7 @@ from quadalg import (
     Reals,
     ReducibleModulus,
     SigmaDescription,
+    SolveConfig,
     StructureTensor,
     UnsupportedField,
     ZeroVector,
@@ -36,6 +37,8 @@ from quadalg import (
     random_structure_tensor,
     rescale_to_canonical,
     restrict_scalars,
+    solve_real,
+    unit_eigenpair,
     zero_algebra,
 )
 from quadalg.algebra import flatten_element, is_zero_vector, nonzero_vectors
@@ -451,6 +454,32 @@ def test_spectrum_complex_numeric():
     assert rep.description is SigmaDescription.ALL_NONZERO
     assert not rep.certified
     assert is_idempotent(complex_as_real_algebra(), rep.idempotent)
+
+
+@pytest.mark.parametrize(
+    "n, comm, i", [(2, True, 11), (2, False, 0), (3, True, 3), (4, False, 8), (7, True, 2)]
+)
+def test_spectrum_real_idempotent_read_off_eigenpair(n, comm, i):
+    # a Newton search on x*x - x = 0 alone reported Empty on each of these,
+    # although each has a unit eigenpair with lam != 0; 60 restarts keep the
+    # test short and still reach an accepted pair on the n = 7 algebra
+    A = random_structure_tensor(R, n, random.Random(f"{n}:{comm}:{i}"), commutative=comm)
+    rep = classify_spectrum(A, SolveConfig(seed=i, max_restarts=60))
+    assert rep.description is SigmaDescription.ALL_NONZERO
+    assert is_idempotent(A, rep.idempotent)
+
+
+def test_spectrum_real_nonzero_eigenvalue_gives_idempotent():
+    # Vu = lam*u with lam != 0 rescales to the idempotent u/lam, so a
+    # nonzero eigenvalue from solve_real means 1 is in sigma_p
+    rng = random.Random(2024)
+    for trial in range(16):
+        n = 2 + trial % 4
+        A = random_structure_tensor(R, n, rng, commutative=trial % 2 == 0)
+        cfg = SolveConfig(seed=trial, max_restarts=10)
+        _, lam = unit_eigenpair(A, solve_real(A, cfg))
+        if abs(lam) >= 1e-3:
+            assert 1 in classify_spectrum(A, cfg).sigma_p, (trial, n, lam)
 
 
 def test_spectrum_rational_dim2_counterexample():

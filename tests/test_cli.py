@@ -248,6 +248,9 @@ def test_non_positive_tuning_flag_exit_2(tmp_path, capsys):
         ["spectrum", path, "--restarts", "0"],
         ["solve", path, "--engine", "exhaustive", "--tol", "-1"],
         ["perturb", path, "--kmax", "-2"],
+        # NaN compares False with every bound and inf accepts any iterate
+        *(["solve", path, "--engine", "real", f"--tol={t}"] for t in ("nan", "inf", "-inf")),
+        *(["spectrum", path, f"--tol={t}"] for t in ("nan", "inf", "-inf")),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -359,6 +362,17 @@ def test_bezout_budget_exceeded_exit_6(tmp_path, capsys):
     # is refused before it starts
     path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(4)))
     assert main(["bezout", path, "--kmax", "4"]) == 6
+    capsys.readouterr()
+
+
+def test_bezout_dim1_counts_without_building_extensions(tmp_path, capsys):
+    # x*x = x over GF(3): (1 : 1) and the trivial point over every F_{3^k}
+    path = write_algebra(tmp_path, StructureTensor(PrimeField(3), [[[1]]]))
+    report = str(tmp_path / "bez.json")
+    t0 = time.perf_counter()
+    assert main(["bezout", path, "--kmax", "60", "--out", report]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert formats.load_json(report)["counts"] == {str(k): 2 for k in range(1, 61)}
     capsys.readouterr()
 
 

@@ -423,6 +423,8 @@ def test_real_engine_zero_algebra():
     sol = solve_real(zero_algebra(R, 4))
     x, lam = unit_eigenpair(zero_algebra(R, 4), sol)
     assert lam == pytest.approx(0.0, abs=1e-9)
+    # every unit pair has lam = 0, which does not rescale to an idempotent
+    assert solver.find_idempotent_real(zero_algebra(R, 4)) is None
 
 
 def test_real_engine_lambda_is_rayleigh_value():
