@@ -1,148 +1,99 @@
 """Finite-dimensional nonassociative algebras over exchangeable coefficient
 fields: idempotents, absolute nilpotents, and eigenvectors of the squaring
 operator, with exact, exhaustive, and numeric solution engines.
+
+The public names load on first use (PEP 562): ``import quadalg`` loads no
+submodule, and each name imports only the submodule that defines it, so a
+command that needs no solver never compiles or loads one.
 """
 
-from .errors import (
-    BudgetExceeded,
-    CharTwo,
-    DimensionMismatch,
-    DivisionByZero,
-    EvenOrTrivialDegree,
-    FieldMismatch,
-    NotAnEigenvector,
-    NotAnExtensionField,
-    NotInValuationRing,
-    NotIntegerCoefficients,
-    NotNilpotentAtGivenOrder,
-    ParseError,
-    QuadAlgError,
-    ReducibleModulus,
-    SearchExhausted,
-    UnsupportedField,
-    ValuationViolation,
-    WrongDimension,
-    ZeroSeries,
-    ZeroVector,
-)
-from .algebra import (
-    SigmaDescription,
-    SpectrumReport,
-    StructureTensor,
-    absolute_nilpotent_from_nilpotent,
-    circle_product,
-    classify_spectrum,
-    counterexample_algebra,
-    eigencheck,
-    eigenvalue_set,
-    is_absolute_nilpotent,
-    is_idempotent,
-    matrix_algebra,
-    power,
-    random_structure_tensor,
-    rescale_to_canonical,
-    restrict_scalars,
-    zero_algebra,
-)
-from .fields import (
-    ExtensionField,
-    Field,
-    LaurentSeries,
-    Polynomial,
-    PrimeField,
-    Rationals,
-    Reals,
-    eisenstein_irreducible,
-    field_from_json,
-    finite_field,
-    poly_has_root,
-    polynomial_roots,
-)
-from .solver import (
-    Dim2Result,
-    GenericityVerdict,
-    ProbeReport,
-    ProjectiveSolution,
-    QuadraticSystem,
-    SolveConfig,
-    build_system,
-    count_solutions_extension,
-    draw_perturbation,
-    genericity_probe,
-    perturb_system,
-    solve_exact_dim2,
-    solve_exhaustive,
-    solve_real,
-    trivial_jacobian_check,
-    unit_eigenpair,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "CharTwo",
-    "Dim2Result",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "EvenOrTrivialDegree",
-    "FieldMismatch",
-    "NotAnEigenvector",
-    "NotAnExtensionField",
-    "NotInValuationRing",
-    "NotIntegerCoefficients",
-    "NotNilpotentAtGivenOrder",
-    "ParseError",
-    "QuadAlgError",
-    "ReducibleModulus",
-    "SearchExhausted",
-    "UnsupportedField",
-    "ValuationViolation",
-    "WrongDimension",
-    "ZeroSeries",
-    "ZeroVector",
-    "ExtensionField",
-    "Field",
-    "GenericityVerdict",
-    "LaurentSeries",
-    "Polynomial",
-    "PrimeField",
-    "ProbeReport",
-    "ProjectiveSolution",
-    "QuadraticSystem",
-    "Rationals",
-    "Reals",
-    "SigmaDescription",
-    "SolveConfig",
-    "SpectrumReport",
-    "StructureTensor",
-    "absolute_nilpotent_from_nilpotent",
-    "build_system",
-    "circle_product",
-    "classify_spectrum",
-    "count_solutions_extension",
-    "counterexample_algebra",
-    "draw_perturbation",
-    "eigencheck",
-    "eigenvalue_set",
-    "eisenstein_irreducible",
-    "field_from_json",
-    "finite_field",
-    "genericity_probe",
-    "is_absolute_nilpotent",
-    "is_idempotent",
-    "matrix_algebra",
-    "perturb_system",
-    "poly_has_root",
-    "polynomial_roots",
-    "power",
-    "random_structure_tensor",
-    "rescale_to_canonical",
-    "restrict_scalars",
-    "solve_exact_dim2",
-    "solve_exhaustive",
-    "solve_real",
-    "trivial_jacobian_check",
-    "unit_eigenpair",
-    "zero_algebra",
-]
+# the submodule that defines each public name, in ``__all__`` order
+_SUBMODULE_OF = {
+    "BudgetExceeded": "errors",
+    "CharTwo": "errors",
+    "Dim2Result": "solver",
+    "DimensionMismatch": "errors",
+    "DivisionByZero": "errors",
+    "EvenOrTrivialDegree": "errors",
+    "FieldMismatch": "errors",
+    "NotAnEigenvector": "errors",
+    "NotAnExtensionField": "errors",
+    "NotInValuationRing": "errors",
+    "NotIntegerCoefficients": "errors",
+    "NotNilpotentAtGivenOrder": "errors",
+    "ParseError": "errors",
+    "QuadAlgError": "errors",
+    "ReducibleModulus": "errors",
+    "SearchExhausted": "errors",
+    "UnsupportedField": "errors",
+    "ValuationViolation": "errors",
+    "WrongDimension": "errors",
+    "ZeroSeries": "errors",
+    "ZeroVector": "errors",
+    "ExtensionField": "fields",
+    "Field": "fields",
+    "GenericityVerdict": "solver",
+    "LaurentSeries": "fields",
+    "Polynomial": "fields",
+    "PrimeField": "fields",
+    "ProbeReport": "solver",
+    "ProjectiveSolution": "solver",
+    "QuadraticSystem": "solver",
+    "Rationals": "fields",
+    "Reals": "fields",
+    "SigmaDescription": "algebra",
+    "SolveConfig": "solver",
+    "SpectrumReport": "algebra",
+    "StructureTensor": "algebra",
+    "absolute_nilpotent_from_nilpotent": "algebra",
+    "build_system": "solver",
+    "circle_product": "algebra",
+    "classify_spectrum": "algebra",
+    "count_solutions_extension": "solver",
+    "counterexample_algebra": "algebra",
+    "draw_perturbation": "solver",
+    "eigencheck": "algebra",
+    "eigenvalue_set": "algebra",
+    "eisenstein_irreducible": "fields",
+    "field_from_json": "fields",
+    "finite_field": "fields",
+    "genericity_probe": "solver",
+    "is_absolute_nilpotent": "algebra",
+    "is_idempotent": "algebra",
+    "matrix_algebra": "algebra",
+    "perturb_system": "solver",
+    "poly_has_root": "fields",
+    "polynomial_roots": "fields",
+    "power": "algebra",
+    "random_structure_tensor": "algebra",
+    "rescale_to_canonical": "algebra",
+    "restrict_scalars": "algebra",
+    "solve_exact_dim2": "solver",
+    "solve_exhaustive": "solver",
+    "solve_real": "solver",
+    "trivial_jacobian_check": "solver",
+    "unit_eigenpair": "solver",
+    "zero_algebra": "algebra",
+}
+
+__all__ = list(_SUBMODULE_OF)
+
+_SUBMODULES = frozenset(("algebra", "cli", "errors", "ffenum", "fields", "formats", "solver"))
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -13,9 +13,8 @@ Tensors and elements are immutable and all operations are pure.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from .errors import (
     CharTwo,
@@ -357,19 +356,17 @@ class SigmaDescription(Enum):
     ALL_OF_F = "AllOfF"
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(
+    namedtuple("SpectrumReport", "sigma_p description idempotent nilpotent certified")
+):
     """Membership of 0 and 1 in the eigenvalue set, with witnesses.
 
-    `certified` is False for numeric (real-field) searches, where an absent
-    witness means "not found", never "nonexistent".
+    `sigma_p` is a frozenset, `description` a SigmaDescription, and each
+    witness a tuple or None.  `certified` is False for numeric (real-field)
+    searches, where an absent witness means "not found", never "nonexistent".
     """
 
-    sigma_p: frozenset
-    description: SigmaDescription
-    idempotent: Optional[tuple]
-    nilpotent: Optional[tuple]
-    certified: bool
+    __slots__ = ()
 
     @classmethod
     def from_witnesses(cls, idempotent, nilpotent, certified):

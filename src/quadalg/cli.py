@@ -32,13 +32,12 @@ engine run that completed.
 import argparse
 import json
 import os
-import random
 import re
 import sys
-import traceback
 
+# solver is imported inside the commands that run an engine, so check,
+# counterexample and witness neither compile nor load it
 from . import algebra as alg
-from . import solver as sv
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -60,6 +59,7 @@ from .fields import (
     field_from_json,
     finite_field,
     poly_has_root,
+    prime_power,
 )
 from . import formats
 
@@ -129,6 +129,8 @@ def _emit(report, out):
 
 def _config(args):
     """A SolveConfig with the tuning flags this command was given."""
+    from . import solver as sv
+
     names = {"tol": "residual_tol", "restarts": "max_restarts", "kmax": "k_max", "seed": "seed"}
     given = {field: getattr(args, flag, None) for flag, field in names.items()}
     try:
@@ -174,6 +176,8 @@ def cmd_check(args):
 
 def cmd_solve(args):
     A = _load_algebra(args.algebra)
+    from . import solver as sv  # after the file parses: a parse error needs no solver
+
     F = A.field
     cfg = _config(args)
     if args.engine == "exhaustive":
@@ -255,20 +259,32 @@ def cmd_counterexample(args):
     return 0
 
 
+def _check_witness_budget(q):
+    # the root search evaluates the degree-q (q + 1 in characteristic 2)
+    # witness at all q elements
+    if q * (q + 1) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"witness root search over GF({q}) needs {q * (q + 1)} steps, "
+            f"over budget {ENUMERATION_BUDGET}"
+        )
+
+
 def cmd_witness(args):
+    m = re.fullmatch(r"(?:gf:|g?f)([0-9]+)", args.field.strip().lower())
+    if m:
+        # before GF(q) is built: certifying a large modulus takes seconds
+        try:
+            prime_power(int(m.group(1)))
+        except ValueError as exc:
+            raise ParseError(f"bad field spec {args.field!r}: {exc}") from exc
+        _check_witness_budget(int(m.group(1)))
     F = parse_field_spec(args.field)
     if isinstance(F, Rationals):
         ints = [-2, 0, 0, 1]
         desc = "a^3 - 2"
     elif F.finite:
         q = F.order
-        # the root search evaluates the degree-q (q + 1 in characteristic 2)
-        # witness at all q elements
-        if q * (q + 1) > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"witness root search over GF({q}) needs {q * (q + 1)} steps, "
-                f"over budget {ENUMERATION_BUDGET}"
-            )
+        _check_witness_budget(q)
         if F.characteristic == 2:
             ints = [1, 0, -1] + [0] * (q - 2) + [1]
             desc = f"a^{q + 1} - a^2 + 1"
@@ -294,6 +310,8 @@ def cmd_witness(args):
 
 def cmd_bezout(args):
     A = _load_algebra(args.algebra)
+    from . import solver as sv
+
     probe = sv.genericity_probe(A, _config(args))
     report = formats.counting_report(probe)
     _emit(report, args.out)
@@ -304,7 +322,11 @@ def cmd_bezout(args):
 
 
 def cmd_perturb(args):
+    import random
+
     A = _load_algebra(args.algebra)
+    from . import solver as sv
+
     F = A.field
     seed = args.seed if args.seed is not None else 0
     print(f"seed: {seed}")
@@ -419,6 +441,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return INTERNAL_ERROR
 

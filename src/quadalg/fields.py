@@ -1089,18 +1089,22 @@ def _iroot(n, k):
         r = s
 
 
-@lru_cache(maxsize=32)
-def finite_field(q):
-    """GF(q) for a prime power q, with a deterministic canonical modulus."""
+def prime_power(q):
+    """(p, k) with q = p^k and p prime; ValueError when q is not a prime power."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     # q = p^k has k <= log2(q); the largest k with an integer k-th root comes first
     for k in range(q.bit_length() - 1, 0, -1):
         p = _iroot(q, k)
         if p**k == q and is_prime(p):
-            break
-    else:
-        raise ValueError(f"{q} is not a prime power")
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
+
+
+@lru_cache(maxsize=32)
+def finite_field(q):
+    """GF(q) for a prime power q, with a deterministic canonical modulus."""
+    p, k = prime_power(q)
     base = PrimeField(p)
     if k == 1:
         return base

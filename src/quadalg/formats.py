@@ -20,7 +20,6 @@ import re
 from .algebra import MAX_DIM, StructureTensor
 from .errors import DimensionMismatch, ParseError
 from .fields import field_from_json
-from .solver import ProjectiveSolution
 
 _PRODUCT_KEY = re.compile(r"^e(\d+)\*e(\d+)$")
 
@@ -120,6 +119,8 @@ def solution_report(field, engine, solutions, certified, infinite_family=False):
 
 def solutions_from_report(obj):
     """Re-parse a solution report into (field, [ProjectiveSolution])."""
+    from .solver import ProjectiveSolution  # the commands that load files need no solver
+
     if not isinstance(obj, dict) or "solutions" not in obj or "field" not in obj:
         raise ParseError("not a solution report")
     F = field_from_json(obj["field"])

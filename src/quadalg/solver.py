@@ -30,11 +30,11 @@ independent of the engine that produced it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import ffenum
-from .algebra import StructureTensor, eigencheck
+from .algebra import StructureTensor, eigencheck, is_idempotent
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -55,27 +55,24 @@ from .fields import (
 )
 
 MAX_NEWTON_ITER = 100  # Newton steps per restart of the real engine
+POLISH_STEPS = 3  # Newton steps that bring a rescaled real idempotent within tolerance
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(namedtuple("SolveConfig", "residual_tol max_restarts k_max seed")):
     """Tunables the CLI flags set; a fixed seed makes runs deterministic.
 
     Not settable: the sweep budget ``fields.ENUMERATION_BUDGET`` and ``MAX_NEWTON_ITER``.
     """
 
-    residual_tol: float = 1e-9
-    max_restarts: int = 200
-    k_max: int = 4
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf or self.max_restarts <= 0 or self.k_max <= 0:
+    def __new__(cls, residual_tol=1e-9, max_restarts=200, k_max=4, seed=0):
+        if not 0 < residual_tol < math.inf or max_restarts <= 0 or k_max <= 0:
             raise ValueError("config values must be positive, and residual_tol finite")
+        return super().__new__(cls, residual_tol, max_restarts, k_max, seed)
 
 
-@dataclass(frozen=True)
-class ProjectiveSolution:
+class ProjectiveSolution(namedtuple("ProjectiveSolution", "coords trivial residual", defaults=(0.0,))):
     """A normalized point (xi_1 : ... : xi_n : lam) annihilating the system.
 
     Exact fields: leftmost nonzero coordinate is 1.  Reals: scaled so the
@@ -83,9 +80,7 @@ class ProjectiveSolution:
     eigen-residual at the unit-norm representative of x.
     """
 
-    coords: tuple
-    trivial: bool
-    residual: float = 0.0
+    __slots__ = ()
 
     @property
     def lam(self):
@@ -305,8 +300,7 @@ def solve_exhaustive(S):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dim2Result:
+class Dim2Result(namedtuple("Dim2Result", "solutions infinite_family")):
     """Rational eigen-directions of a 2-dimensional rational algebra.
 
     When the proportionality cubic vanishes identically every direction is an
@@ -315,8 +309,7 @@ class Dim2Result:
     eigenvalue form) rather than an exhaustive list.
     """
 
-    solutions: tuple
-    infinite_family: bool
+    __slots__ = ()
 
 
 def solve_exact_dim2(A):
@@ -489,14 +482,33 @@ def unit_eigenpair(A, sol):
 def find_idempotent_real(A, cfg=None):
     """Search for x with x*x = x; returns the element or None (not a nonexistence proof).
 
-    A unit pair Vu = mu*u with mu != 0 rescales to the idempotent x = u/mu,
-    whose residual |x*x - x| is |Vu - mu*u| / mu^2; the first pair with that
-    within ``residual_tol`` and |x| = 1/|mu| >= 1e-3 is returned.
+    A unit pair Vu = mu*u with 0 < |mu| <= 1e3 rescales to x = u/mu, an
+    idempotent up to |Vu - mu*u| / mu^2.  Up to ``POLISH_STEPS`` Newton steps
+    on x*x - x = 0 (Jacobian L_x + R_x - I) then bring it within the field's
+    tolerance; the first x that ``algebra.is_idempotent`` accepts is returned,
+    and a pair whose x it still rejects is passed over.
     """
+    import numpy as np
+
     cfg = cfg if cfg is not None else SolveConfig()
-    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed + 1):
-        if 0 < abs(mu) <= 1e3 and res <= cfg.residual_tol * mu * mu:
-            return tuple(float(c) for c in u / mu)
+    T = np.array(A.alpha, dtype=float)
+    J2 = T + T.transpose(1, 0, 2)  # contracted with x: the matrix of y -> x*y + y*x
+    eye = np.eye(A.dim)
+    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1):
+        if not 0 < abs(mu) <= 1e3:
+            continue
+        x = u / mu
+        for step in range(POLISH_STEPS + 1):
+            idem = tuple(float(c) for c in x)
+            if is_idempotent(A, idem):
+                return idem
+            if step == POLISH_STEPS:
+                break
+            jac = np.einsum("ikj,i->jk", J2, x) - eye
+            try:
+                x = x - np.linalg.solve(jac, np.einsum("ikj,i,k->j", T, x, x) - x)
+            except np.linalg.LinAlgError:
+                break
     return None
 
 
@@ -560,12 +572,8 @@ class GenericityVerdict(Enum):
     LIKELY_POSITIVE_DIMENSIONAL = "LikelyPositiveDimensional"
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    p: int
-    counts: dict
-    verdict: GenericityVerdict
-    bound: int
+class ProbeReport(namedtuple("ProbeReport", "p counts verdict bound")):
+    __slots__ = ()
 
 
 def genericity_probe(A_or_S, cfg=None):

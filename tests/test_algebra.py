@@ -20,6 +20,7 @@ from quadalg import (
     ReducibleModulus,
     SigmaDescription,
     SolveConfig,
+    SpectrumReport,
     StructureTensor,
     UnsupportedField,
     ZeroVector,
@@ -446,6 +447,17 @@ def test_spectrum_all_of_f_with_both_witnesses():
     rep = classify_spectrum(A)
     assert rep.description is SigmaDescription.ALL_OF_F
     assert rep.sigma_p == frozenset({0, 1})
+
+
+def test_spectrum_report_is_an_immutable_record():
+    rep = SpectrumReport.from_witnesses(idempotent=(1, 0), nilpotent=None, certified=True)
+    assert rep == SpectrumReport(
+        sigma_p=frozenset({1}), description=SigmaDescription.ALL_NONZERO,
+        idempotent=(1, 0), nilpotent=None, certified=True,
+    )
+    assert hash(rep) == hash(SpectrumReport(*rep))
+    with pytest.raises(AttributeError):
+        rep.certified = False
 
 
 def test_spectrum_complex_numeric():

@@ -325,6 +325,16 @@ def test_witness_budget_exceeded_exit_6(spec, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_witness_budget_is_checked_before_the_field_is_built(capsys):
+    # certifying a modulus of degree 100 over GF(3) takes seconds
+    start = time.perf_counter()
+    assert main(["witness", "--field", f"gf:{3**100}"]) == 6
+    assert time.perf_counter() - start < 1
+    assert "budget" in capsys.readouterr().err
+    # a spec that names no prime power is still a parse error
+    assert main(["witness", "--field", f"gf:{10**20}"]) == 2
+
+
 def test_witness_unsupported_field_exit_4(capsys):
     assert main(["witness", "--field", "real"]) == 4
     assert main(["witness", "--field", "laurent:q:16"]) == 4
@@ -586,26 +596,30 @@ def test_algebra_from_json_raises_only_package_errors(obj):
 
 
 # ---------------------------------------------------------------------------
-# numpy is loaded only by commands that sweep or run Newton
+# numpy, the solver and dataclasses are loaded only by commands that use them
 # ---------------------------------------------------------------------------
 
 
-_NUMPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
 import quadalg, quadalg.cli
-assert "numpy" not in sys.modules, "import quadalg.cli loaded numpy"
+watch = json.loads(sys.argv[2])
+assert not any(m in sys.modules for m in watch), "import quadalg.cli loaded " + repr(watch)
 for argv in json.loads(sys.argv[1]):
     code = quadalg.cli.main(argv)
-    print(json.dumps([argv[0], code, "numpy" in sys.modules]))
+    print(json.dumps([argv[0], code, [m for m in watch if m in sys.modules]]))
 """
 
 
-def _numpy_after(argvs):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+def _src():
+    return os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _loaded_after(argvs, watch=("numpy",)):
+    """[command, exit code, watched modules loaded so far] for each argv, in one fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs), json.dumps(watch)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_src()), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
@@ -629,20 +643,65 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         ["witness", "--field", "gf:25"],
         ["check", ff9, "[[1, 0], [0, 0]]"],
     ]
-    got = _numpy_after(argvs)
+    got = _loaded_after(argvs)
     assert [(cmd, code) for cmd, code, _ in got] == [
         ("counterexample", 0), ("solve", 1), ("spectrum", 1), ("check", 0), ("witness", 0), ("solve", 2),
         ("witness", 0), ("check", 0),
     ]
     assert not any(loaded for _, _, loaded in got)
     # the probe can see an import: the finite-field sweep loads numpy
-    assert _numpy_after([["solve", ff, "--engine", "exhaustive"]]) == [["solve", 0, True]]
+    assert _loaded_after([["solve", ff, "--engine", "exhaustive"]]) == [["solve", 0, ["numpy"]]]
+
+
+def test_commands_without_an_engine_load_no_solver(tmp_path):
+    watch = ["quadalg.solver", "quadalg.ffenum", "numpy", "dataclasses"]
+    ff = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(2)), "ff.json")
+    bad = tmp_path / "bad.json"
+    formats.save_json(bad, {"field": {"kind": "prime", "p": 3}, "dim": 2, "alpha": 5})
+    argvs = [
+        ["counterexample", "--field", "prime:3", "--modulus=-1,-1,0,1", "--out", str(tmp_path / "ce.json")],
+        ["check", ff, "[1, 0]"],
+        ["witness", "--field", "gf:9"],
+        ["solve", str(bad), "--engine", "exhaustive"],
+    ]
+    got = _loaded_after(argvs, watch)
+    assert got == [["counterexample", 0, []], ["check", 0, []], ["witness", 0, []], ["solve", 2, []]]
+    # an engine command loads the solver, and the probe sees it
+    assert _loaded_after([["solve", ff, "--engine", "exhaustive"]], watch)[0][2] == watch[:3]
+
+
+_PACKAGE_PROBE = """
+import sys
+import quadalg
+print(sorted(m for m in sys.modules if m.startswith("quadalg")))
+listed = dir(quadalg)  # before any name is resolved
+assert all(name in listed for name in quadalg.__all__)
+ns = {}
+exec("from quadalg import *", ns)
+assert sorted(set(ns) - {"__builtins__"}) == sorted(quadalg.__all__)
+assert all(hasattr(quadalg, name) for name in quadalg.__all__)
+assert quadalg.solver.solve_real is quadalg.solve_real  # submodules as attributes
+assert quadalg.cli.main and quadalg.ffenum.solve_system
+try:
+    quadalg.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_package_names_load_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PACKAGE_PROBE], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_src()), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["['quadalg']", "ok"]
 
 
 def test_closed_stdout_exits_141_without_traceback():
     # the reader of stdout is gone before the report is written, as in
     # `quadalg counterexample ... | true`
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    src = _src()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -27,6 +27,7 @@ from quadalg import (
     eigencheck,
     finite_field,
     genericity_probe,
+    is_idempotent,
     perturb_system,
     polynomial_roots,
     random_structure_tensor,
@@ -427,6 +428,22 @@ def test_real_engine_zero_algebra():
     assert solver.find_idempotent_real(zero_algebra(R, 4)) is None
 
 
+def test_real_idempotents_pass_the_field_check():
+    # x = u/mu off a unit pair misses x*x = x by |Vu - mu*u| / mu^2, past the
+    # field's per-coordinate tolerance for small |mu|: 7 of these 64 did
+    # before the Newton polish
+    found = 0
+    for n in range(2, 6):
+        for comm in (True, False):
+            for s in range(8):
+                A = random_structure_tensor(R, n, random.Random(f"{n}:{comm}:{s}"), commutative=comm)
+                x = solver.find_idempotent_real(A)
+                if x is not None:
+                    found += 1
+                    assert is_idempotent(A, x), (n, comm, s)
+    assert found >= 57
+
+
 def test_real_engine_lambda_is_rayleigh_value():
     rng = random.Random(67)
     import numpy as np
@@ -632,3 +649,37 @@ def test_draw_perturbation_laurent_valuations():
     for phi in phis:
         for c in phi:
             assert L.is_zero(c) or L.valuation(c) >= 0
+
+
+# ---------------------------------------------------------------------------
+# Records: immutable named tuples
+# ---------------------------------------------------------------------------
+
+
+def test_solve_config_defaults_keywords_and_validation():
+    cfg = SolveConfig()
+    assert (cfg.residual_tol, cfg.max_restarts, cfg.k_max, cfg.seed) == (1e-9, 200, 4, 0)
+    assert SolveConfig(seed=3, k_max=2) == SolveConfig(1e-9, 200, 2, 3)
+    assert hash(SolveConfig(seed=3)) == hash(SolveConfig(seed=3))
+    for bad in ({"max_restarts": 0}, {"k_max": -1}, {"residual_tol": 0.0},
+                {"residual_tol": float("inf")}, {"residual_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
+    with pytest.raises(AttributeError):
+        cfg.seed = 1
+
+
+def test_solution_records_are_immutable_named_tuples():
+    sol = solver.ProjectiveSolution((1, 2, 3), trivial=False)
+    assert sol.residual == 0.0 and sol.lam == 3
+    assert sol == solver.ProjectiveSolution(coords=(1, 2, 3), trivial=False, residual=0.0)
+    assert sol == ((1, 2, 3), False, 0.0)  # a tuple: iterates and compares as one
+    assert len({sol, solver.ProjectiveSolution((1, 2, 3), False)}) == 1
+    res = solver.Dim2Result(solutions=(sol,), infinite_family=False)
+    probe = solver.ProbeReport(p=3, counts={1: 2}, verdict=GenericityVerdict.LIKELY_GENERIC, bound=4)
+    for record, field in ((sol, "trivial"), (res, "infinite_family"), (probe, "bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert res.solutions == (sol,) and probe.counts == {1: 2}
+    with pytest.raises(TypeError):
+        solver.ProjectiveSolution((1,))  # `trivial` has no default
