@@ -411,8 +411,8 @@ def eigenvalue_set(A):
 def classify_spectrum(A, cfg=None):
     """Decide whether 0 and 1 are eigenvalues of the squaring operator.
 
-    Over a finite field the witnesses are read off the nontrivial solutions
-    of ``solver.solve_exhaustive`` (certified), within the fixed
+    Over a finite field the witnesses are read off the verified solution
+    rows of the exhaustive sweep (certified), within the fixed
     ``fields.ENUMERATION_BUDGET``: a larger sweep raises BudgetExceeded.
     Over the reals both witnesses come from the solver's unit eigen-search
     (an idempotent u/lam off a pair with lam != 0, a nilpotent with lam
@@ -428,8 +428,14 @@ def classify_spectrum(A, cfg=None):
     from . import solver
 
     if F.finite:
-        sols = solver.solve_exhaustive(solver.build_system(A))
-        return _report_from_solutions(A, sols)
+        rows = solver._solution_rows(solver.build_system(A))
+        if A.dim > 1:
+            import numpy as np
+
+            # only the first row with lam = 0 and the first with lam != 0 are read
+            zero = rows[:, -1] == 0
+            rows = rows[sorted(int(np.argmax(z)) for z in (zero, ~zero) if z.any())].tolist()
+        return _report_from_solutions(A, solver._nontrivial_solutions(F, rows))
     idem = solver.find_idempotent_real(A, cfg)
     nil = solver.find_absolute_nilpotent_real(A, cfg)
     return SpectrumReport.from_witnesses(idem, nil, certified=False)

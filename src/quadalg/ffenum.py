@@ -15,7 +15,10 @@ sweep runs over the directions x in P^{n-1} only and derives lam; the caller,
 ``solver.solve_exhaustive``, appends the trivial point (0 : ... : 0 : 1).
 Directions are enumerated in canonical order (leftmost-nonzero-is-1, grouped
 by lead position, tails in mixed radix with the leftmost free digit most
-significant), so the rows come out in canonical P^n order.
+significant), so the rows come out in canonical P^n order.  The sweep returns
+them as one int64 array of index rows; the solver verifies them on arrays
+(``digit_ops``, which reads the modulus and never the tables) and turns into
+field scalars only the rows a caller keeps.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -64,35 +67,90 @@ class _ExtOps:
 
 
 class _PolyOps:
-    """GF(p^k) on the k base-p digits of each index, with no tables: a
-    schoolbook product, then reduction by the rows t^(k+i) mod f, i < k - 1."""
+    """GF(p^k) on the k base-p digits of each index, digit s along axis 0, from
+    the modulus f alone (no tables); GF(p) is the case k = 1, f = t.
+
+    Two digit arrays multiply by a schoolbook product folded back by the
+    residues of t^(k+i).  Multiplying by a constant a = sum of a_u t^u is the
+    k x k matrix sum of a_u T_u over GF(p), where column s of T_u, the matrix
+    of y -> t^u * y, holds the digits of t^(u+s) mod f (``linear``).
+    """
 
     def __init__(self, F):
         import numpy as np
 
-        p, k = F.base.p, F.degree
-        self.p, self.k, self.place = p, k, p ** np.arange(k, dtype=np.int64)
-        rows, x = [], F.scalar_from_index(p ** (k - 1))
+        if isinstance(F, PrimeField):
+            p, f = F.p, (0, 1)
+        else:
+            p, f = F.base.p, F.modulus
+        k = len(f) - 1
+        # t^e mod f for e < 2k - 1: t * t^e shifts the digits up a place and
+        # folds the top one by t^k = -(f_0 + ... + f_{k-1} t^(k-1))
+        powers = [[int(s == e) for s in range(k)] for e in range(k)]
         for _ in range(k - 1):
-            x = F.mul(x, F.gen())
-            rows.append(x)
-        self.red = np.array(rows, dtype=np.int64).reshape(k - 1, k).T.copy()
+            top = powers[-1]
+            powers.append([(lo - top[-1] * c) % p for lo, c in zip([0] + top[:-1], f)])
+        ar = np.arange(k)
+        self.p, self.k, self.place = p, k, p**ar
+        self.prime = isinstance(F, PrimeField)
+        powers = np.array(powers, dtype=np.int64)
+        self.red = powers[k:].T.copy()
+        # by_digit[u, r, s]: digit r of t^(u+s) mod f, so by_digit[u] is T_u
+        self.by_digit = powers[np.add.outer(ar, ar)].transpose(0, 2, 1).copy()
 
-    def _digits(self, a):
-        # digit s of every index along axis 0
-        return a // self.place[:, None] % self.p
-
-    def mul(self, a, b):
+    def digits(self, a):
+        """Digit s of every index along a new axis 0 (a scalar gets shape (k, 1))."""
         import numpy as np
 
-        da, db, k = self._digits(a), self._digits(b), self.k
-        prod = np.zeros((2 * k - 1,) + np.broadcast_shapes(da.shape, db.shape)[1:], np.int64)
-        for i in range(k):
-            prod[i : i + k] += da[i] * db
-        return self.place @ ((prod[:k] + self.red @ prod[k:]) % self.p)
+        a = np.asarray(a)
+        return a[None] // self.place.reshape((-1,) + (1,) * max(a.ndim, 1)) % self.p
+
+    def dmul(self, da, db):
+        """Digits of the products of two digit arrays: a schoolbook product,
+        then the digits t^(k+i), i < k - 1, folded back by their residues.
+        Exact in int64 while k^2 p^3 < 2^63 (k >= 2), as within the budget."""
+        import numpy as np
+
+        k = self.k
+        prod = da[0] * db
+        if k > 1:
+            prod = np.concatenate([prod, np.zeros((k - 1,) + prod.shape[1:], np.int64)])
+            for i in range(1, k):
+                prod[i : i + k] += da[i] * db
+            low = prod[:k]
+            low += (self.red @ prod[k:].reshape(k - 1, -1)).reshape(low.shape)
+            prod = low
+        prod %= self.p
+        return prod
+
+    def scalar_digits(self, x):
+        """Digits, along a new axis 0, of a nested sequence of field scalars
+        (a scalar of GF(p^k) is its tuple of k digits, lowest first)."""
+        import numpy as np
+
+        a = np.array(x, dtype=np.int64)
+        return a[None] if self.prime else a.transpose(-1, *range(a.ndim - 1))
+
+    def linear(self, C):
+        """The matrix of y -> z, z_o = sum over i of c_oi * y_i, from the
+        (k, n_out, n_in) digits of the c_oi.  It maps a digit array of shape
+        (k, n_in, ...) to one of shape (k, n_out, ...) through ``apply``."""
+        import numpy as np
+
+        k, n_out, n_in = C.shape
+        W = np.einsum("uoi,urs->rosi", C, self.by_digit) % self.p
+        return W.reshape(k * n_out, k * n_in)
+
+    @staticmethod
+    def apply(W, y):
+        """W (from ``linear``) applied to the digit array y; not reduced mod p."""
+        return (W @ y.reshape(W.shape[1], -1)).reshape((y.shape[0], -1) + y.shape[2:])
+
+    def mul(self, a, b):
+        return self.place @ self.dmul(self.digits(a), self.digits(b))
 
     def add(self, a, b):
-        return self.place @ ((self._digits(a) + self._digits(b)) % self.p)
+        return self.place @ ((self.digits(a) + self.digits(b)) % self.p)
 
 
 @lru_cache(maxsize=32)
@@ -102,19 +160,26 @@ def _ops_cached(F):
     return _ExtOps(F) if F.has_log_tables else _PolyOps(F)
 
 
-def solve_system(F, n, forms_idx):
-    """Index rows (length n+1) of the nontrivial projective solutions, in order.
+@lru_cache(maxsize=32)
+def digit_ops(F):
+    """The table-free digit arithmetic of F, GF(p) included (k = 1)."""
+    return _PolyOps(F)
 
-    ``forms_idx[j]`` maps variable pairs to coefficient indices and must have
-    the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j (the keys
-    without variable n) is read.
+
+def solve_system(F, n, forms_idx):
+    """Index rows of the nontrivial projective solutions, in canonical order.
+
+    The rows form an (m, n+1) int64 array, one row (x_1, ..., x_n, lam) per
+    solution.  ``forms_idx[j]`` maps variable pairs to coefficient indices and
+    must have the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j
+    (the keys without variable n) is read.
     """
     import numpy as np
 
     ops = _ops_cached(F)
     q = F.order
     quad = [{key: c for key, c in form.items() if n not in key} for form in forms_idx]
-    rows = []
+    blocks = [np.zeros((0, n + 1), dtype=np.int64)]
     for lead in range(n):
         m = n - 1 - lead
         count = q**m
@@ -139,10 +204,11 @@ def solve_system(F, n, forms_idx):
                     mask &= v == 0
                 elif j > lead:
                     mask &= v == ops.mul(lam, x[j])
-            for r in np.nonzero(mask)[0]:
-                rows.append(
-                    (0,) * lead
-                    + tuple(int(x[pos][r]) for pos in range(lead, n))
-                    + (int(lam[r]),)
-                )
-    return rows
+            hits = np.flatnonzero(mask)
+            if len(hits):
+                block = np.zeros((len(hits), n + 1), dtype=np.int64)
+                for pos in range(lead, n):
+                    block[:, pos] = x[pos][hits]
+                block[:, n] = lam[hits]
+                blocks.append(block)
+    return np.concatenate(blocks)

@@ -25,13 +25,15 @@ eigenvector.  Engines:
                                  counts over extension fields F_{p^k} and the
                                  bounded-count heuristic built on them
 
-Every returned solution is re-verified through an evaluation route
-independent of the engine that produced it.
+Every solution a sweep returns is re-verified through an evaluation route
+independent of the engine that produced it: the finite-field rows on arrays,
+from the structure tensor (``_verify_solutions``).
 """
 
 import math
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 
 from . import ffenum
 from .algebra import StructureTensor, eigencheck, is_idempotent
@@ -245,11 +247,67 @@ def trivial_jacobian_check(S):
 # ---------------------------------------------------------------------------
 
 
-def _verify_solutions(S, sols):
-    F = S.field
-    for pt in sols:
-        vals = S.residual_via_tensor(pt) if S.tensor is not None else S.evaluate(pt)
-        if not all(F.is_zero(v) for v in vals):
+@lru_cache(maxsize=32)
+def _variable_pairs(n):
+    """The pairs i <= l of the n+1 variables but (n, n), row by row, as two
+    index arrays, and the 0/1 matrix that adds the coefficients of x_i*x_l
+    and x_l*x_i, at row (n+1)*i + l and (n+1)*l + i, into the pair's column."""
+    import numpy as np
+
+    left, right = (a[:-1] for a in np.triu_indices(n + 1))
+    cols = np.arange(len(left))
+    fold = np.zeros(((n + 1) ** 2, len(left)), dtype=np.int64)
+    fold[(n + 1) * left + right, cols] = fold[(n + 1) * right + left, cols] = 1
+    return left, right, fold
+
+
+def _verify_solutions(S, rows):
+    """Raise RuntimeError, naming the point, unless every index row solves S.
+
+    The rows, an (m, n+1) int64 array, are checked ``ffenum._CHUNK`` at a
+    time on base-p digit arrays (``ffenum.digit_ops``, built from the modulus,
+    never from the sweep's log tables).  Multiplying by a constant is a k x k
+    matrix over GF(p), so the values x*x - lam*x are one matmul of the pair
+    products x_i*x_l and lam*x_j against a matrix built from the structure
+    tensor.  A perturbation subtracts eps_j * phi_j(x)^2, that is
+    eps_j*phi_ji*phi_jl at the pair (i, l) of form j, its constants multiplied
+    on digits too.  A system with no tensor is checked the same way from its
+    forms.
+    """
+    if not len(rows):
+        return
+    import numpy as np
+
+    F, n = S.field, S.n
+    D = ffenum.digit_ops(F)
+    # G[:, i, l, j]: the digits of the coefficient of x_i*x_l in g_j, where
+    # variable n is lam
+    G = np.zeros((D.k, n + 1, n + 1, n), dtype=np.int64)
+    if S.tensor is None:
+        for j, form in enumerate(S.forms):
+            for (i, l), c in form.items():
+                G[:, i, l, j] = D.scalar_digits(c)
+    else:
+        G[:, :n, :n] = D.scalar_digits(S.tensor.alpha)
+        G[0, :n, n] = (D.p - 1) * np.eye(n, dtype=np.int64)
+        if S.perturbation is not None:
+            eps = D.scalar_digits([e for e, _ in S.perturbation])  # (k, j)
+            phi = D.scalar_digits([cs for _, cs in S.perturbation])  # (k, j, i)
+            prods = D.dmul(D.dmul(eps[:, :, None], phi)[..., None], phi[:, :, None, :])
+            G[:, :n, :n] -= prods.transpose(0, 2, 3, 1)
+    left, right, fold = _variable_pairs(n)
+    C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
+    used = C.any(axis=(0, 1))  # pairs in no term are dropped
+    left, right = left[used], right[used]
+    W = D.linear(C[:, :, used])
+    for start in range(0, len(rows), ffenum._CHUNK):
+        chunk = rows[start : start + ffenum._CHUNK]
+        d = D.digits(chunk.T)  # (k, n+1, rows)
+        vals = D.apply(W, D.dmul(d[:, left], d[:, right]))
+        vals %= D.p
+        if vals.any():
+            bad = np.flatnonzero(vals.any(axis=(0, 1)))[0]
+            pt = tuple(F.scalar_from_index(int(i)) for i in chunk[bad])
             raise RuntimeError(f"engine returned a non-solution {pt!r}")
 
 
@@ -260,16 +318,19 @@ def _require_eigen_form(S):
         raise ValueError(f"form j must read Q_j(x) - lam*x_j, its lam terms {{(j, {n}): -1}}")
 
 
-def solve_exhaustive(S):
-    """All projective solutions over a finite field, complete and duplicate-free.
+def _solution_rows(S):
+    """Index rows (x : lam) of the nontrivial solutions over a finite field, verified.
 
     Each form must read g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0
     solves the system exactly when Q(x) = lam*x, with lam = Q_lead(x) at the
-    leftmost nonzero coordinate of x (scaled to 1).  ``ffenum.solve_system``
-    sweeps the directions x in P^{n-1}; P^0 is the single direction (1).  The
-    trivial point (0 : ... : 0 : 1) comes last, so the order is that of the
-    canonical enumeration of P^n.  ``fields.ENUMERATION_BUDGET`` bounds the
-    points swept, |P^{n-1}| + 1, and with them the sweep's time.
+    leftmost nonzero coordinate of x (scaled to 1).  ``fields.ENUMERATION_BUDGET``
+    bounds the points swept, |P^{n-1}| + 1, and with them the sweep's time.
+    For n >= 2 ``ffenum.solve_system`` sweeps the directions x in P^{n-1} and
+    the rows, an (m, n+1) int64 array in canonical order, pass
+    ``_verify_solutions``.  P^0 is the single direction (1), and g_0 =
+    c*x_0^2 - lam*x_0 vanishes at (1 : c), so for n = 1 the rows are the list
+    [(1, index of c)], Python ints with no numpy (the indices of GF(3^40) do
+    not fit int64).
     """
     F = S.field
     if not F.finite:
@@ -278,21 +339,31 @@ def solve_exhaustive(S):
     total = (F.order**S.n - 1) // (F.order - 1) + 1
     if total > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
-    zero = F.zero()
     if S.n == 1:
-        sols = [(F.one(), S.forms[0].get((0, 0), zero))]
-    else:
-        forms_idx = [
-            {key: F.scalar_index(c) for key, c in form.items()} for form in S.forms
-        ]
-        rows = ffenum.solve_system(F, S.n, forms_idx)
-        sols = [tuple(F.scalar_from_index(i) for i in row) for row in rows]
-    sols.append((zero,) * S.n + (F.one(),))
-    _verify_solutions(S, sols)
-    return [
-        ProjectiveSolution(pt, trivial=all(F.eq(c, zero) for c in pt[: S.n]))
-        for pt in sols
-    ]
+        return [(1, F.scalar_index(S.forms[0].get((0, 0), F.zero())))]
+    forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
+    rows = ffenum.solve_system(F, S.n, forms_idx)
+    _verify_solutions(S, rows)
+    return rows
+
+
+def _nontrivial_solutions(F, rows):
+    """ProjectiveSolutions of index rows given as lists of Python ints."""
+    return [ProjectiveSolution(tuple(map(F.scalar_from_index, row)), trivial=False) for row in rows]
+
+
+def solve_exhaustive(S):
+    """All projective solutions over a finite field, complete and duplicate-free.
+
+    The nontrivial ones are read off ``_solution_rows`` (see there for the
+    sweep, its budget and its checks), in the order of the canonical
+    enumeration of P^n; the trivial point (0 : ... : 0 : 1) comes last.
+    """
+    rows = _solution_rows(S)
+    F = S.field
+    sols = _nontrivial_solutions(F, rows if S.n == 1 else rows.tolist())
+    sols.append(ProjectiveSolution((F.zero(),) * S.n + (F.one(),), trivial=True))
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +630,11 @@ def count_solutions_extension(A_or_S, k):
         raise UnsupportedField("extension counting needs a prime base field")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if k == 1 or S.n == 1:
-        # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
-        # every extension, so GF(p^k) is never built for it
-        return len(solve_exhaustive(S))
-    target = finite_field(F.p**k)
-    return len(solve_exhaustive(_embed_system(S, target)))
+    # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
+    # every extension, so GF(p^k) is never built for it
+    if k > 1 and S.n > 1:
+        S = _embed_system(S, finite_field(F.p**k))
+    return len(_solution_rows(S)) + 1  # the rows and the trivial point
 
 
 class GenericityVerdict(Enum):

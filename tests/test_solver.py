@@ -324,6 +324,177 @@ def test_exhaustive_over_gf65537_reads_off_the_cubic():
     assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
 
 
+def _verifier_accepts(S, rows):
+    import numpy as np
+
+    try:
+        solver._verify_solutions(S, np.array(rows, dtype=np.int64).reshape(-1, S.n + 1))
+    except RuntimeError:
+        return False
+    return True
+
+
+def _solves_via_tensor(S, row):
+    F = S.field
+    return all(F.is_zero(v) for v in S.residual_via_tensor(tuple(map(F.scalar_from_index, row))))
+
+
+@pytest.mark.parametrize("q", [5, 1000003, 25, 625, 5**7])
+def test_verifier_agrees_with_the_scalar_oracle(q):
+    # the array verifier against residual_via_tensor, row by row, on the
+    # sweep's rows (taken before any verification) and on random rows, over
+    # prime fields, log-table fields (25, 625) and a digit field (5^7)
+    from quadalg import ffenum
+
+    rng = random.Random(q)
+    F = finite_field(q)
+    n = 3 if q < 1000 else 2
+    systems = []
+    for commutative in (True, False):
+        S = build_system(random_structure_tensor(F, n, rng, commutative=commutative))
+        systems += [S, perturb_system(S, *draw_perturbation(F, n, rng))]
+    checked = 0
+    for S in systems:
+        forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
+        rows = ffenum.solve_system(F, n, forms_idx).tolist()
+        assert _verifier_accepts(S, rows)
+        # a solution with lam moved, and uniformly random rows
+        rows += [row[:-1] + [(row[-1] + 1) % q] for row in rows[:5]]
+        rows += [[rng.randrange(q) for _ in range(n + 1)] for _ in range(60)]
+        for row in rows:
+            assert _verifier_accepts(S, [row]) == _solves_via_tensor(S, row), row
+            checked += 1
+    assert checked >= 240
+
+
+def test_verifier_names_a_planted_bad_row():
+    import re
+
+    import numpy as np
+
+    F = finite_field(25)
+    S = build_system(zero_algebra(F, 3))
+    rows = np.array(solver._solution_rows(S))
+    bad = rows.copy()
+    bad[100, -1] = 7  # lam != 0 at a point of the zero algebra
+    pt = tuple(map(F.scalar_from_index, bad[100].tolist()))
+    with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
+        solver._verify_solutions(S, bad)
+    solver._verify_solutions(S, rows)
+
+
+def test_verifier_has_no_int64_overflow_near_1e7():
+    # coordinates, structure constants, eps and phi all near p - 1 at a prime
+    # near 10^7: every product of two digits is near 10^14.  The planted row
+    # solves the perturbed system; the verifier is called with no sweep.
+    p = 9999991
+    F = PrimeField(p)
+    rng = random.Random(89)
+    n = 3
+
+    def near():
+        return p - 1 - rng.randrange(5)
+
+    for _ in range(5):
+        alpha = [[[near() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        x, lam = [near() for _ in range(n)], near()
+        eps = [near() for _ in range(n)]
+        phis = [tuple(near() for _ in range(n)) for _ in range(n)]
+        for j in range(n):
+            # alpha[0][0][j] makes x*x - lam*x - eps_j*phi_j(x)^2 vanish at j
+            rest = sum(alpha[i][l][j] * x[i] * x[l] for i in range(n) for l in range(n) if i or l)
+            phi_x = sum(c * xi for c, xi in zip(phis[j], x))
+            want = lam * x[j] + eps[j] * phi_x * phi_x - rest
+            alpha[0][0][j] = want * pow(x[0] * x[0], -1, p) % p
+        S = build_system(StructureTensor(F, alpha))
+        P = perturb_system(S, eps, phis)
+        rows = [x + [lam], x + [near()], [near() for _ in range(n + 1)], [p - 1] * (n + 1)]
+        assert _verifier_accepts(P, [rows[0]])
+        for T in (S, P):
+            for row in rows:
+                assert _verifier_accepts(T, [row]) == _solves_via_tensor(T, row), row
+
+
+def test_verifier_checks_a_system_without_tensor_from_its_forms():
+    F = finite_field(9)
+    S = build_system(random_structure_tensor(F, 3, random.Random(97)))
+    bare = QuadraticSystem(F, S.n, S.forms)
+    rows = solver._solution_rows(S).tolist()
+    assert [s.coords for s in solve_exhaustive(bare)] == [s.coords for s in solve_exhaustive(S)]
+    for row in rows[:3] + [[1, 2, 3, 4], [0, 1, 5, 8]]:
+        pt = tuple(map(F.scalar_from_index, row))
+        assert _verifier_accepts(bare, [row]) == bare.is_solution(pt)
+
+
+def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
+    # verification chunks of 7 and 10 rows: the zero algebra's 31 rows over
+    # F_5 at n = 3 come in lead blocks of 25, 5 and 1, so a chunk ends at row
+    # 28, inside the second block.  Lists and counts still match the P^n
+    # reference, and a bad row in the last chunk is caught.
+    import numpy as np
+
+    from quadalg import ffenum
+    from quadalg.solver import _embed_system
+
+    rng = random.Random(101)
+    for chunk in (7, 10):
+        monkeypatch.setattr(ffenum, "_CHUNK", chunk)
+        for n, k in ((3, 1), (2, 2)):
+            S = build_system(random_structure_tensor(F5, n, rng, commutative=False))
+            systems = [build_system(zero_algebra(F5, n)), S, perturb_system(S, *draw_perturbation(F5, n, rng))]
+            for S in systems:
+                T = _embed_system(S, finite_field(5**k)) if k > 1 else S
+                ref = [pt for pt in projective_points(T.field, n) if T.is_solution(pt)]
+                assert [s.coords for s in solve_exhaustive(T)] == ref
+                assert count_solutions_extension(S, k) == len(ref)
+        rows = np.array(solver._solution_rows(build_system(zero_algebra(F5, 3))))
+        rows[-1, -1] = 1  # lam = 1 at a point of the zero algebra
+        with pytest.raises(RuntimeError):
+            solver._verify_solutions(build_system(zero_algebra(F5, 3)), rows)
+
+
+def test_counting_builds_no_field_scalars(monkeypatch):
+    # count_solutions_extension reads the length of the verified rows and
+    # turns none of them into field scalars
+    from quadalg import ExtensionField
+    from quadalg.solver import _embed_system
+
+    rng = random.Random(103)
+    systems = [build_system(zero_algebra(F5, 2)), build_system(zero_algebra(F3, 3))]
+    for F, n in ((F5, 2), (F3, 3), (F5, 3)):
+        for commutative in (True, False):
+            S = build_system(random_structure_tensor(F, n, rng, commutative=commutative))
+            systems += [S, perturb_system(S, *draw_perturbation(F, n, rng))]
+    want = {}
+    for i, S in enumerate(systems):
+        p = S.field.p
+        for k in (2, 3):
+            want[i, k] = len(solve_exhaustive(_embed_system(S, finite_field(p**k))))
+    monkeypatch.setattr(
+        ExtensionField, "scalar_from_index", lambda self, i: pytest.fail("a count built a scalar")
+    )
+    assert {(i, k): count_solutions_extension(S, k) for i, S in enumerate(systems) for k in (2, 3)} == want
+
+
+def test_spectrum_witnesses_are_the_first_solutions_of_each_kind():
+    from quadalg import classify_spectrum, rescale_to_canonical
+
+    rng = random.Random(107)
+    algebras = [zero_algebra(F5, 3), diagonal_f5(), StructureTensor(F5, [[[3]]])]
+    for F, n in ((F3, 3), (F5, 2), (PrimeField(7), 3), (finite_field(9), 2)):
+        for commutative in (True, False):
+            algebras += [random_structure_tensor(F, n, rng, commutative=commutative) for _ in range(4)]
+    for A in algebras:
+        sols = [s for s in solve_exhaustive(build_system(A)) if not s.trivial]
+        nil = next((s.coords[:-1] for s in sols if A.field.is_zero(s.lam)), None)
+        idem = next(
+            (rescale_to_canonical(A, s.coords[:-1], s.lam) for s in sols if not A.field.is_zero(s.lam)),
+            None,
+        )
+        rep = classify_spectrum(A)
+        assert (rep.nilpotent, rep.idempotent) == (nil, idem)
+
+
 def test_scaling_invariance_of_solutions():
     rng = random.Random(59)
     for _ in range(10):
