@@ -79,10 +79,8 @@ class _PolyOps:
     def __init__(self, F):
         import numpy as np
 
-        if isinstance(F, PrimeField):
-            p, f = F.p, (0, 1)
-        else:
-            p, f = F.base.p, F.modulus
+        self.prime = isinstance(F, PrimeField)
+        p, f = (F.p, (0, 1)) if self.prime else (F.base.p, F.modulus)
         k = len(f) - 1
         # t^e mod f for e < 2k - 1: t * t^e shifts the digits up a place and
         # folds the top one by t^k = -(f_0 + ... + f_{k-1} t^(k-1))
@@ -92,7 +90,6 @@ class _PolyOps:
             powers.append([(lo - top[-1] * c) % p for lo, c in zip([0] + top[:-1], f)])
         ar = np.arange(k)
         self.p, self.k, self.place = p, k, p**ar
-        self.prime = isinstance(F, PrimeField)
         powers = np.array(powers, dtype=np.int64)
         self.red = powers[k:].T.copy()
         # by_digit[u, r, s]: digit r of t^(u+s) mod f, so by_digit[u] is T_u
@@ -154,16 +151,16 @@ class _PolyOps:
 
 
 @lru_cache(maxsize=32)
-def _ops_cached(F):
-    if isinstance(F, PrimeField):
-        return _PrimeOps(F.p)
-    return _ExtOps(F) if F.has_log_tables else _PolyOps(F)
-
-
-@lru_cache(maxsize=32)
 def digit_ops(F):
     """The table-free digit arithmetic of F, GF(p) included (k = 1)."""
     return _PolyOps(F)
+
+
+@lru_cache(maxsize=32)
+def _ops_cached(F):
+    if isinstance(F, PrimeField):
+        return _PrimeOps(F.p)
+    return _ExtOps(F) if F.has_log_tables else digit_ops(F)
 
 
 def solve_system(F, n, forms_idx):
