@@ -3,10 +3,10 @@
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases.  GF(p^k) of order up to
-``fields.INDEXED_ORDER_LIMIT`` is served by its discrete-log tables
-(``fields.LogTables``): products by log/antilog lookup, sums by Zech's
-logarithm.  Larger GF(p^k) works on the base-p digits of the indices.  A sweep
-within the budget has q <= 10^7, so every product formed fits in int64.
+2^16 is swept on discrete-log tables that this module builds once per field
+(``_ExtOps``): products by log/antilog lookup, sums by Zech's logarithm.
+Larger GF(p^k) works on the base-p digits of the indices.  A sweep within the
+budget has q <= 10^7, so every product formed fits in int64.
 
 The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
 x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
@@ -26,9 +26,11 @@ the solver module, which imports it) does not load numpy.
 
 from functools import lru_cache
 
-from .fields import PrimeField
+from .fields import PrimeField, _digits, _divisors, _ppowmod, _ptrim, is_prime
 
 _CHUNK = 1 << 16
+# Largest order of a GF(p^k) swept on discrete-log tables (``_ExtOps``)
+_TABLE_LIMIT = 1 << 16
 
 
 class _PrimeOps:
@@ -43,16 +45,56 @@ class _PrimeOps:
 
 
 class _ExtOps:
-    """numpy views of the field's LogTables (see there for the layout)."""
+    """Discrete-log arithmetic of GF(p^k) on element indices.
+
+    With g the first element in index order whose multiplicative order is
+    n = q - 1, and log 0 stored as 2n:
+
+    * ``exp[i]``  -- the index of g^(i mod n) for 0 <= i < 2n, and 0 for
+      2n <= i <= 4n, so ``exp[log[a] + log[b]]`` is the index of a*b for
+      every a and b, zero included;
+    * ``log[a]``  -- the i < n with g^i = a, or 2n for a = 0;
+    * ``zech[i]`` -- Zech's logarithm Z(i), with 1 + g^i = g^Z(i), or 2n
+      where 1 + g^i = 0, so a + b = g^(log a + Z(log b - log a)) for nonzero
+      a and b, the difference taken mod n (Lidl and Niederreiter, *Finite
+      Fields*).
+
+    The three are C-int arrays, about 1.6 MB at q = 2^16.
+    """
 
     def __init__(self, F):
         import numpy as np
 
-        T = F.log_tables()
-        self.n = T.n
-        self.exp, self.log, self.zech = (
-            np.frombuffer(t, dtype=np.intc) for t in (T.exp, T.log, T.zech)
-        )
+        base, p, k, q = F.base, F.base.p, F.degree, F.order
+        n = q - 1
+        f = list(F.modulus)
+        # g^(n/r) != 1 for every prime r dividing n
+        primes = [r for r in _divisors(n) if is_prime(r)]
+        for cand in range(1, q):
+            g = _ptrim(base, _digits(cand, p, k))
+            if all(_ppowmod(base, g, n // r, f) != [1] for r in primes):
+                break
+        # M maps the digits of y to those of g*y: column s holds g*t^s, and t*y
+        # shifts the digits up a place and folds the top one by t^k
+        col = np.array(_digits(cand, p, k), dtype=np.int64)
+        cols = [col]
+        for _ in range(k - 1):
+            col = (np.concatenate(([0], col[:-1])) - col[-1] * np.array(f[:-1])) % p
+            cols.append(col)
+        M = np.stack(cols, axis=1)
+        # P holds the digits of g^0 .. g^(m-1) as columns and M multiplies by
+        # g^m, so each pass doubles m
+        P = np.eye(k, 1, dtype=np.int64)
+        while P.shape[1] < n:
+            P = np.concatenate([P, M @ P % p], axis=1)
+            M = M @ M % p
+        powers = (p ** np.arange(k) @ P[:, :n]).astype(np.intc)
+        self.n = n
+        self.exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, np.intc)])
+        self.log = np.full(q, 2 * n, np.intc)
+        self.log[powers] = np.arange(n, dtype=np.intc)
+        # 1 + a adds one to the lowest digit of a's index
+        self.zech = self.log[powers - powers % p + (powers + 1) % p]
 
     def mul(self, a, b):
         # log 0 points past the powers of g, where exp reads 0
@@ -160,7 +202,7 @@ def digit_ops(F):
 def _ops_cached(F):
     if isinstance(F, PrimeField):
         return _PrimeOps(F.p)
-    return _ExtOps(F) if F.has_log_tables else digit_ops(F)
+    return _ExtOps(F) if F.order <= _TABLE_LIMIT else digit_ops(F)
 
 
 def solve_system(F, n, forms_idx):

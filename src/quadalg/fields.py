@@ -17,9 +17,6 @@ descriptors and serialize to/from small JSON objects.
 
 All values are immutable after construction and every operation is a pure
 function, so anything here may be shared freely across threads or workers.
-The discrete-log tables an ``ExtensionField`` builds on demand are a cache
-that changes no result; two threads that race to build them build equal
-tables.
 """
 
 import itertools
@@ -50,10 +47,6 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # Steps any one enumeration may take: a sweep's points, the witness root
 # search's evaluations, the rational root search's trial divisions.
 ENUMERATION_BUDGET = 10_000_000
-
-# Largest order of a GF(p^k) with discrete-log tables (see ``LogTables``);
-# ``ffenum`` sweeps larger fields on base-p digits, with no tables.
-INDEXED_ORDER_LIMIT = 1 << 16
 
 
 def is_prime(n):
@@ -452,63 +445,6 @@ def _digits(i, p, k):
     return out
 
 
-class LogTables:
-    """Discrete-log arithmetic of GF(p^k) on element indices.
-
-    The index of c0 + c1*t + c2*t^2 + ... is sum(c_i * p^i), so index 0 is
-    zero and index 1 is one.  With g a generator of the multiplicative group,
-    of order n = q - 1, and ``zero_log`` = 2n standing for log 0:
-
-    * ``exp[i]``  -- the index of g^(i mod n) for 0 <= i < 2n, and 0 for
-      2n <= i <= 4n, so ``exp[log[a] + log[b]]`` is the index of a*b for
-      every a and b, zero included;
-    * ``log[a]``  -- the i < n with g^i = a, or ``zero_log`` for a = 0;
-    * ``zech[i]`` -- Zech's logarithm Z(i), with 1 + g^i = g^Z(i), or
-      ``zero_log`` where 1 + g^i = 0, so a + b = g^(log a + Z(log b - log a))
-      for nonzero a and b, the difference taken mod n (Lidl and Niederreiter,
-      *Finite Fields*).
-
-    The three are flat ``array("i")`` buffers, about 1.6 MB at q = 2^16,
-    that numpy can view without a copy; this module never imports numpy.
-    """
-
-    def __init__(self, field):
-        # imported here: a CLI process that builds no tables never loads it
-        from array import array
-
-        base, p, k = field.base, field.base.p, field.degree
-        q = p**k
-        n = q - 1
-        f = list(field.modulus)
-        # the first element in index order whose order is n: g^(n/r) != 1
-        # for every prime r dividing n
-        primes = [r for r in _divisors(n) if is_prime(r)]
-        for cand in range(1, q):
-            g = _ptrim(base, _digits(cand, p, k))
-            if all(_ppowmod(base, g, n // r, f) != [1] for r in primes):
-                break
-        red = [(-c) % p for c in f[:-1]]  # t^k = sum(red[i] * t^i)
-        powers = array("i")
-        x = [1] + [0] * (k - 1)
-        for _ in range(n):
-            powers.append(_index(x, p))
-            # x <- x*g by Horner's rule over the coefficients of g
-            y = [g[-1] * c % p for c in x]
-            for gj in reversed(g[:-1]):
-                top = y[-1]
-                y = [(s + gj * c + top * r) % p for s, c, r in zip([0] + y[:-1], x, red)]
-            x = y
-        log = array("i", [2 * n]) * q
-        for i, a in enumerate(powers):
-            log[a] = i
-        self.n = n
-        self.zero_log = 2 * n
-        self.exp = powers + powers + array("i", [0]) * (2 * n + 1)
-        self.log = log
-        # 1 + a adds one to the lowest digit of a's index
-        self.zech = array("i", (log[a - a % p + (a + 1) % p] for a in powers))
-
-
 class ExtensionField(Field):
     """base[t]/(modulus) for an irreducible modulus over an exact base.
 
@@ -519,14 +455,9 @@ class ExtensionField(Field):
     degree <= 3, and an Eisenstein prime or an irreducible reduction mod a
     prime below 100 for higher degree).
 
-    Over a prime base, with order at most INDEXED_ORDER_LIMIT, the field
-    can build `LogTables`; they are built when a sweep first asks for them
-    (`log_tables`), and from then on `mul` and `inv` run on them.  Until
-    then, over the rationals and above that order, `mul` multiplies and
-    reduces polynomials and `inv` runs extended Euclid.  Over a prime base,
-    addition, subtraction and negation work digit by digit on the
-    coefficient tuple, which is cheaper than the two index conversions a
-    Zech lookup needs.
+    `mul` multiplies and reduces polynomials and `inv` runs extended Euclid.
+    Over a prime base, addition, subtraction and negation work digit by
+    digit on the coefficient tuple.
     """
 
     kind = "ext"
@@ -552,7 +483,6 @@ class ExtensionField(Field):
         self._p = base.p if isinstance(base, PrimeField) else None
         self._zero = self._pad([])
         self._one = self._pad([base.one()])
-        self._tables = None
 
     finite = property(lambda self: self.base.finite)
 
@@ -580,26 +510,10 @@ class ExtensionField(Field):
         return tuple([self.base.neg(x) for x in a])
 
     def mul(self, a, b):
-        T = self._tables
-        if T is None:
-            return self._poly_mul(a, b)
-        p, log = self._p, T.log
-        return tuple(_digits(T.exp[log[_index(a, p)] + log[_index(b, p)]], p, self.degree))
-
-    def inv(self, a):
-        T = self._tables
-        if T is None:
-            return self._poly_inv(a)
-        la = T.log[_index(a, self._p)]
-        if la == T.zero_log:
-            raise DivisionByZero(f"inverse of zero in {self!r}")
-        return tuple(_digits(T.exp[T.n - la], self._p, self.degree))
-
-    def _poly_mul(self, a, b):
         prod = _pmul(self.base, _ptrim(self.base, a), _ptrim(self.base, b))
         return self._pad(_pmod(self.base, prod, list(self.modulus)))
 
-    def _poly_inv(self, a):
+    def inv(self, a):
         ta = _ptrim(self.base, a)
         if not ta:
             raise DivisionByZero(f"inverse of zero in {self!r}")
@@ -607,19 +521,6 @@ class ExtensionField(Field):
         # modulus irreducible and a != 0 mod modulus, so gcd is a unit
         c = self.base.inv(g[0])
         return self._pad([self.base.mul(x, c) for x in s])
-
-    @property
-    def has_log_tables(self):
-        """True over a prime base with order <= INDEXED_ORDER_LIMIT."""
-        return self._p is not None and self._p**self.degree <= INDEXED_ORDER_LIMIT
-
-    def log_tables(self):
-        """This field's `LogTables`, built on the first call."""
-        if self._tables is None:
-            if not self.has_log_tables:
-                raise UnsupportedField(f"{self!r} has no discrete-log tables")
-            self._tables = LogTables(self)
-        return self._tables
 
     def zero(self):
         return self._zero

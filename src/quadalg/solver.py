@@ -266,7 +266,7 @@ def _verify_solutions(S, rows):
 
     The rows, an (m, n+1) int64 array, are checked ``ffenum._CHUNK`` at a
     time on base-p digit arrays (``ffenum.digit_ops``, built from the modulus,
-    never from the sweep's log tables).  Multiplying by a constant is a k x k
+    never from the sweep's discrete-log tables, ``ffenum._ExtOps``).  Multiplying by a constant is a k x k
     matrix over GF(p), so the values x*x - lam*x are one matmul of the pair
     products x_i*x_l and lam*x_j against a matrix built from the structure
     tensor.  A perturbation subtracts eps_j * phi_j(x)^2, that is

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -127,38 +126,39 @@ def test_scalar_index_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# discrete-log tables against the polynomial route
+# the sweep's discrete-log tables (ffenum._ExtOps) against the polynomial route
 # ---------------------------------------------------------------------------
 
 
-def _fresh(q):
-    """GF(q) on the canonical modulus, as a new object whose tables are unbuilt."""
-    F = finite_field(q)
-    return ExtensionField(F.base, F.modulus)
-
-
 def _check_tables(F, pairs):
-    """Table mul/inv against the polynomial route, add/sub against the base field."""
-    F.log_tables()
-    B, p = F.base, F.base.p
-    for a, b in pairs:
-        assert F.mul(a, b) == F._poly_mul(a, b)
-        assert F.add(a, b) == tuple(B.add(x, y) for x, y in zip(a, b))
-        assert F.sub(a, b) == tuple(B.sub(x, y) for x, y in zip(a, b))
-        i = sum(c * p**e for e, c in enumerate(a))
-        assert F.scalar_index(a) == i and F.scalar_from_index(i) == a
-        if F.is_zero(a):
+    """Log/antilog products and inverses, and Zech sums, on indices against
+    multiply-and-reduce, extended Euclid and digit-wise addition on tuples."""
+    import numpy as np
+
+    from quadalg import ffenum
+
+    T, B, p = ffenum._ExtOps(F), F.base, F.base.p
+    a, b = (np.array([F.scalar_index(x) for x in xs]) for xs in zip(*pairs))
+    prods, sums = T.mul(a, b).tolist(), T.add(a, b).tolist()
+    invs = T.exp[T.n - T.log[a]].tolist()
+    for (x, y), xy, s, inv in zip(pairs, prods, sums, invs):
+        assert F.scalar_from_index(xy) == F.mul(x, y)
+        assert F.scalar_from_index(s) == F.add(x, y) == tuple(B.add(u, v) for u, v in zip(x, y))
+        assert F.sub(x, y) == tuple(B.sub(u, v) for u, v in zip(x, y))
+        i = sum(c * p**e for e, c in enumerate(x))
+        assert F.scalar_index(x) == i and F.scalar_from_index(i) == x
+        if F.is_zero(x):
             with pytest.raises(DivisionByZero):
-                F.inv(a)
+                F.inv(x)
         else:
-            assert F.inv(a) == F._poly_inv(a)
+            assert F.scalar_from_index(inv) == F.inv(x)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 125])
 def test_log_tables_match_polynomial_route_on_every_pair(q):
     F = finite_field(q)
     elems = list(F.elements())
-    _check_tables(F, itertools.product(elems, repeat=2))
+    _check_tables(F, list(itertools.product(elems, repeat=2)))
     assert [F.scalar_from_index(i) for i in range(q)] == elems
 
 
@@ -172,31 +172,28 @@ def test_log_tables_match_polynomial_route_on_seeded_pairs(q):
 
 @pytest.mark.parametrize("q", [2**16, 3**10])
 def test_log_tables_build_fast(q):
-    F = _fresh(q)
+    from quadalg import ffenum
+
+    F = finite_field(q)
     a, b = F.gen(), F.random(random.Random(q))
     t0 = time.perf_counter()
-    F.log_tables()
-    prod = F.mul(a, b)
+    T = ffenum._ExtOps(F)
+    prod = T.mul(F.scalar_index(a), F.scalar_index(b))
     assert time.perf_counter() - t0 < 2.0
-    assert prod == F._poly_mul(a, b)
+    assert F.scalar_from_index(int(prod)) == F.mul(a, b)
 
 
 def test_log_tables_are_compact():
-    F = _fresh(2**16)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        F.log_tables()
-        size = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert size < 4_000_000
+    from quadalg import ffenum
+
+    T = ffenum._ExtOps(finite_field(2**16))
+    assert T.exp.nbytes + T.log.nbytes + T.zech.nbytes < 4_000_000
 
 
-def test_log_tables_do_not_import_numpy():
+def test_extension_arithmetic_does_not_import_numpy():
     code = (
         "import sys; from quadalg.fields import finite_field; "
-        "F = finite_field(625); F.log_tables(); F.mul(F.gen(), F.gen()); "
+        "F = finite_field(625); a = F.mul(F.gen(), F.gen()); F.inv(a); F.add(a, a); "
         "print('numpy' in sys.modules)"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fields_module.__file__)))
@@ -206,12 +203,11 @@ def test_log_tables_do_not_import_numpy():
 
 
 def test_no_log_tables_above_the_index_limit():
+    from quadalg import ffenum
+
+    assert isinstance(ffenum._ops_cached(finite_field(2**16)), ffenum._ExtOps)
     F = finite_field(5**7)
-    assert not F.has_log_tables
-    with pytest.raises(UnsupportedField):
-        F.log_tables()
-    with pytest.raises(UnsupportedField):
-        ExtensionField(Q, [-2, 0, 0, 1]).log_tables()
+    assert ffenum._ops_cached(F) is ffenum.digit_ops(F)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from quadalg import (
     BudgetExceeded,
+    ExtensionField,
     GenericityVerdict,
     LaurentSeries,
     Polynomial,
@@ -267,7 +268,23 @@ def test_ffenum_table_arithmetic_matches_scalar_route(q):
     pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
     for ops in (ffenum._ExtOps(F), ffenum._PolyOps(F)):
         assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
-        assert [elems[i] for i in ops.mul(a, b).tolist()] == [F._poly_mul(x, y) for x, y in pairs]
+        assert [elems[i] for i in ops.mul(a, b).tolist()] == [F.mul(x, y) for x, y in pairs]
+
+
+def test_sweep_leaves_the_scalar_field_unchanged():
+    # the sweep's tables belong to ffenum: a GF(625) sweep changes neither the
+    # field's state nor its scalar products and inverses
+    F = finite_field(625)
+    state = dict(vars(F))
+    rng = random.Random(71)
+    pairs = [(F.random(rng), F.random(rng)) for _ in range(200)]
+    pairs = [(x, y) for x, y in pairs if not F.is_zero(x)]
+    before = [(F.mul(x, y), F.inv(x)) for x, y in pairs]
+    S = build_system(random_structure_tensor(F, 2, rng, commutative=False))
+    solve_exhaustive(S)
+    assert vars(F) == state
+    assert [(F.mul(x, y), F.inv(x)) for x, y in pairs] == before
+    assert not hasattr(ExtensionField, "log_tables")
 
 
 @pytest.mark.parametrize("q", [625, 3**10])
