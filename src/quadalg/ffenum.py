@@ -2,46 +2,32 @@
 
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
-Index 0 is zero and index 1 is one in both cases.  GF(p^k) of order up to
-2^16 is swept on discrete-log tables that this module builds once per field
-(``_ExtOps``): products by log/antilog lookup, sums by Zech's logarithm.
-Larger GF(p^k) works on the base-p digits of the indices.  A sweep within the
-budget has q <= 10^7, so every product formed fits in int64.
+Index 0 is zero and index 1 is one in both cases.  A sweep within the budget
+has q <= 10^7, so every product formed fits in int64.
 
-The eigenvector system g_j = Q_j(x) - lam*x_j has a solution (x : lam) with
-x != 0 exactly when Q(x) is parallel to x, and then lam is fixed by x: with
-the leftmost nonzero coordinate of x scaled to 1, lam = Q_lead(x).  So the
-sweep runs over the directions x in P^{n-1} only and derives lam; the caller,
-``solver.solve_exhaustive``, appends the trivial point (0 : ... : 0 : 1).
-Directions are enumerated in canonical order (leftmost-nonzero-is-1, grouped
-by lead position, tails in mixed radix with the leftmost free digit most
-significant), so the rows come out in canonical P^n order.  The sweep returns
-them as one int64 array of index rows; the solver verifies them on arrays
-(``digit_ops``, which reads the modulus and never the tables) and turns into
-field scalars only the rows a caller keeps.
+A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
+eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
+lam = Q_lead(x).  ``solve_system`` sweeps every direction in one loop, in
+canonical order (by lead, then tails in mixed radix), a chunk at a time with
+about ``_CHUNK`` int64s in its largest temporary.  GF(p^k) of order up to 2^16
+is evaluated term by term on discrete-log tables built once per field
+(``_ExtOps``); every other field on base-p digits (``digit_ops``), all forms
+by one matmul of the pair products x_i*x_l against a coefficient matrix.  The
+solver verifies the rows on digit arrays, which never read the tables.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .fields import PrimeField, _digits, _divisors, _ppowmod, _ptrim, is_prime
 
-_CHUNK = 1 << 16
+# Element budget: about the most int64s a chunk's temporaries hold (digits x pairs x rows)
+_CHUNK = 1 << 15
 # Largest order of a GF(p^k) swept on discrete-log tables (``_ExtOps``)
 _TABLE_LIMIT = 1 << 16
-
-
-class _PrimeOps:
-    def __init__(self, p):
-        self.p = p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
 
 class _ExtOps:
@@ -185,12 +171,6 @@ class _PolyOps:
         """W (from ``linear``) applied to the digit array y; not reduced mod p."""
         return (W @ y.reshape(W.shape[1], -1)).reshape((y.shape[0], -1) + y.shape[2:])
 
-    def mul(self, a, b):
-        return self.place @ self.dmul(self.digits(a), self.digits(b))
-
-    def add(self, a, b):
-        return self.place @ ((self.digits(a) + self.digits(b)) % self.p)
-
 
 @lru_cache(maxsize=32)
 def digit_ops(F):
@@ -199,10 +179,15 @@ def digit_ops(F):
 
 
 @lru_cache(maxsize=32)
+def _tables(F):
+    return _ExtOps(F)
+
+
 def _ops_cached(F):
-    if isinstance(F, PrimeField):
-        return _PrimeOps(F.p)
-    return _ExtOps(F) if F.order <= _TABLE_LIMIT else digit_ops(F)
+    """The sweep's arithmetic, built once per field: tables up to ``_TABLE_LIMIT``, else digits."""
+    if isinstance(F, PrimeField) or F.order > _TABLE_LIMIT:
+        return digit_ops(F)
+    return _tables(F)
 
 
 def solve_system(F, n, forms_idx):
@@ -216,38 +201,49 @@ def solve_system(F, n, forms_idx):
     import numpy as np
 
     ops = _ops_cached(F)
-    q = F.order
-    quad = [{key: c for key, c in form.items() if n not in key} for form in forms_idx]
+    digits = isinstance(ops, _PolyOps)
+    q, k = F.order, ops.k if digits else 1
+    # (form, pair, coefficient index) of every term of Q, grouped by form
+    terms = [(j, key, c) for j, form in enumerate(forms_idx) for key, c in form.items() if n not in key]
+    pairs = sorted({key for _, key, _ in terms}) or [(0, 0)]  # no empty arrays
+    left, right = np.array(pairs, dtype=np.int64).T
+    if digits:
+        # C[:, j, i, l]: the digits of the coefficient of x_i*x_l in Q_j
+        J, I, L, c = np.array([(j, *key, c) for j, key, c in terms], dtype=np.int64).reshape(-1, 4).T
+        C = np.zeros((k, n, n, n), dtype=np.int64)
+        C[:, J, I, L] = ops.digits(c)
+        W = ops.linear(C[:, :, left, right])
+    # place[j] = q^(n-1-j) is the size of lead block j and the place of x_j, and
+    # v = g + shift[lead] is direction g's place in its block, with 1 at the lead
+    place = [q ** (n - 1 - j) for j in range(n)]
+    place, ends = np.array([place, list(accumulate(place))], dtype=np.int64)
+    shift = 2 * place - ends
+    # digit s of x_j is v // unit[s, j] % radix: base p on digits, q on tables
+    radix, unit = (ops.p, np.multiply.outer(ops.place, place)) if digits else (q, place[None])
+    total, step = int(ends[-1]), max(1, _CHUNK // (k * max(len(pairs), n)))
     blocks = [np.zeros((0, n + 1), dtype=np.int64)]
-    for lead in range(n):
-        m = n - 1 - lead
-        count = q**m
-        for start in range(0, count, _CHUNK):
-            vals = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-            # coordinates before the lead are zero, so terms touching them vanish
-            x = {lead: np.ones(len(vals), dtype=np.int64)}
-            for t in range(m):
-                x[lead + 1 + t] = (vals // q ** (m - 1 - t)) % q
-            values = []
-            for form in quad:
-                acc = np.zeros(len(vals), dtype=np.int64)
-                for (i, k), cidx in form.items():
-                    if i >= lead and k >= lead:
-                        term = ops.mul(x[i], x[k])
-                        acc = ops.add(acc, ops.mul(cidx, term))
-                values.append(acc)
-            lam = values[lead]
-            mask = np.ones(len(vals), dtype=bool)
-            for j, v in enumerate(values):
-                if j < lead:
-                    mask &= v == 0
-                elif j > lead:
-                    mask &= v == ops.mul(lam, x[j])
-            hits = np.flatnonzero(mask)
-            if len(hits):
-                block = np.zeros((len(hits), n + 1), dtype=np.int64)
-                for pos in range(lead, n):
-                    block[:, pos] = x[pos][hits]
-                block[:, n] = lam[hits]
-                blocks.append(block)
+    for start in range(0, total, step):
+        g = np.arange(start, min(start + step, total), dtype=np.int64)
+        lead = np.searchsorted(ends, g, side="right")
+        v = g + shift[lead]
+        d = v // unit[..., None] % radix  # (k, n, rows)
+        at = (lead, np.arange(len(g)))
+        if digits:
+            vals = ops.apply(W, ops.dmul(d[:, left], d[:, right]))
+            vals %= radix
+            lam = vals[(slice(None),) + at]
+            hit = (vals == ops.dmul(lam[:, None], d)).all(axis=(0, 1))
+            lam = ops.place @ lam
+        else:
+            x = d[0]
+            prods = {pair: ops.mul(x[pair[0]], x[pair[1]]) for pair in pairs}
+            vals, last = np.zeros_like(x), None
+            for j, pair, c in terms:
+                term = ops.mul(c, prods[pair])
+                vals[j] = ops.add(vals[j], term) if j == last else term
+                last = j
+            lam = vals[at]
+            hit = (vals == ops.mul(lam, x)).all(axis=0)
+        if hit.any():
+            blocks.append(np.vstack([v[hit] // place[:, None] % q, lam[hit]]).T)
     return np.concatenate(blocks)

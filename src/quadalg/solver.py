@@ -264,12 +264,12 @@ def _variable_pairs(n):
 def _verify_solutions(S, rows):
     """Raise RuntimeError, naming the point, unless every index row solves S.
 
-    The rows, an (m, n+1) int64 array, are checked ``ffenum._CHUNK`` at a
-    time on base-p digit arrays (``ffenum.digit_ops``, built from the modulus,
-    never from the sweep's discrete-log tables, ``ffenum._ExtOps``).  Multiplying by a constant is a k x k
-    matrix over GF(p), so the values x*x - lam*x are one matmul of the pair
-    products x_i*x_l and lam*x_j against a matrix built from the structure
-    tensor.  A perturbation subtracts eps_j * phi_j(x)^2, that is
+    The rows, an (m, n+1) int64 array, are checked in chunks of about
+    ``ffenum._CHUNK`` int64s on base-p digit arrays (``ffenum.digit_ops``,
+    from the modulus, never the sweep's tables).  Multiplying by a constant is
+    a k x k matrix over GF(p), so the values x*x - lam*x are one matmul of the
+    pair products x_i*x_l and lam*x_j against a matrix built from the
+    structure tensor.  A perturbation subtracts eps_j * phi_j(x)^2, that is
     eps_j*phi_ji*phi_jl at the pair (i, l) of form j, its constants multiplied
     on digits too.  A system with no tensor is checked the same way from its
     forms.
@@ -300,8 +300,9 @@ def _verify_solutions(S, rows):
     used = C.any(axis=(0, 1))  # pairs in no term are dropped
     left, right = left[used], right[used]
     W = D.linear(C[:, :, used])
-    for start in range(0, len(rows), ffenum._CHUNK):
-        chunk = rows[start : start + ffenum._CHUNK]
+    step = max(1, ffenum._CHUNK // (D.k * max(len(left), n + 1)))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
         d = D.digits(chunk.T)  # (k, n+1, rows)
         vals = D.apply(W, D.dmul(d[:, left], d[:, right]))
         vals %= D.p
@@ -352,6 +353,11 @@ def _nontrivial_solutions(F, rows):
     return [ProjectiveSolution(tuple(map(F.scalar_from_index, row)), trivial=False) for row in rows]
 
 
+@lru_cache(maxsize=32)
+def _trivial_solution(F, n):
+    return ProjectiveSolution((F.zero(),) * n + (F.one(),), trivial=True)
+
+
 def solve_exhaustive(S):
     """All projective solutions over a finite field, complete and duplicate-free.
 
@@ -360,10 +366,8 @@ def solve_exhaustive(S):
     enumeration of P^n; the trivial point (0 : ... : 0 : 1) comes last.
     """
     rows = _solution_rows(S)
-    F = S.field
-    sols = _nontrivial_solutions(F, rows if S.n == 1 else rows.tolist())
-    sols.append(ProjectiveSolution((F.zero(),) * S.n + (F.one(),), trivial=True))
-    return sols
+    sols = _nontrivial_solutions(S.field, rows if S.n == 1 else rows.tolist())
+    return sols + [_trivial_solution(S.field, S.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,9 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
     rng = random.Random(53)
     chunk = ffenum._CHUNK
     cases = [(F, n, chunk) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
-    # chunks shorter than the lead blocks (25 and 81 points), so that chunk
-    # boundaries fall inside a block
+    # element budgets of 7 and 10 int64s: chunks of one to three rows, shorter
+    # than the lead blocks (25 and 81 points), so that chunk boundaries fall
+    # inside a block
     cases += [(F5, 3, 7), (finite_field(9), 3, 10)]
     for F, n, chunk in cases:
         monkeypatch.setattr(ffenum, "_CHUNK", chunk)
@@ -253,6 +254,24 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
             assert [s.coords for s in solve_exhaustive(S)] == ref
 
 
+class _DigitRoute:
+    """Index sums and products through the digit ops (``digits``, ``dmul``),
+    to set beside the tables' ``add`` and ``mul``."""
+
+    def __init__(self, F):
+        from quadalg import ffenum
+
+        self.D = ffenum.digit_ops(F)
+
+    def add(self, a, b):
+        D = self.D
+        return D.place @ ((D.digits(a) + D.digits(b)) % D.p)
+
+    def mul(self, a, b):
+        D = self.D
+        return D.place @ D.dmul(D.digits(a), D.digits(b))
+
+
 @pytest.mark.parametrize("q", [9, 25])
 def test_ffenum_table_arithmetic_matches_scalar_route(q):
     # the sweep's Zech addition and log/antilog products, and the digit ops'
@@ -266,7 +285,7 @@ def test_ffenum_table_arithmetic_matches_scalar_route(q):
     elems = list(F.elements())  # index order
     a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
     pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
-    for ops in (ffenum._ExtOps(F), ffenum._PolyOps(F)):
+    for ops in (ffenum._ExtOps(F), _DigitRoute(F)):
         assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
         assert [elems[i] for i in ops.mul(a, b).tolist()] == [F.mul(x, y) for x, y in pairs]
 
@@ -295,25 +314,26 @@ def test_ffenum_digit_arithmetic_matches_log_tables(q):
     from quadalg import ffenum
 
     F = finite_field(q)
-    tables, digits = ffenum._ExtOps(F), ffenum._PolyOps(F)
+    tables, digits = ffenum._ExtOps(F), _DigitRoute(F)
     if q == 625:
         a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
     else:
         a, b = np.random.default_rng(67).integers(0, q, size=(2, 10**5))
     for op in ("add", "mul"):
         assert (getattr(digits, op)(a, b) == getattr(tables, op)(a, b)).all()
-        # solve_system passes each coefficient as a plain int on the left
+        # the table route multiplies each coefficient, a plain int, on the left
         for c in (0, 1, 2, int(a[-1]), q - 1):
             assert (getattr(digits, op)(c, b) == getattr(tables, op)(c, b)).all()
 
 
 def test_scalar_sweep_matches_scalar_reference(monkeypatch):
     # the digit ops serve GF(p^k) above 2^16; forcing them on small fields
-    # checks their sweep against the full P^n reference, with chunks that
-    # end inside a lead block (of 9, 27 and 81 points)
+    # checks their sweep against the full P^n reference, with element budgets
+    # of 4 and 10 int64s: 1-row chunks, which end inside the lead blocks (of
+    # 9, 27 and 81 points)
     from quadalg import ffenum
 
-    monkeypatch.setattr(ffenum, "_ops_cached", ffenum._PolyOps)
+    monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0)
     rng = random.Random(61)
     cases = [(finite_field(q), 2, 1 << 16) for q in (9, 25, 27)]
     cases += [(finite_field(9), 2, 4), (finite_field(27), 2, 10), (finite_field(9), 3, 10)]
@@ -339,6 +359,52 @@ def test_exhaustive_over_gf65537_reads_off_the_cubic():
     dirs = [(1, u) for u in polynomial_roots(Polynomial(F, c))]
     dirs += [(0, 1)] if F.is_zero(c[3]) else []
     assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
+
+
+def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
+    # every structure constant p - 1 at the largest prime the budget sweeps
+    # (n = 2): coordinates, constants and pair products all sit near p - 1, so
+    # an int64 overflow in the sweep's matmul would lose or invent rows
+    p = 9999991
+    F = PrimeField(p)
+    S = build_system(StructureTensor(F, [[[p - 1] * 2] * 2] * 2))
+    # c(u) = (1 + u)^2 (1 - u): roots 1 and -1, and c_3 != 0 rules out (0 : 1)
+    assert form_cubic(S) == [1, 1, p - 1, p - 1]
+    # Q_0(1, u) = -(1 + u)^2 is lam at (1 : u)
+    want = [(1, u, -((1 + u) ** 2) % p) for u in (1, p - 1)]
+    assert [s.coords for s in solve_exhaustive(S)] == want + [(0, 0, 1)]
+
+
+def _sweep_width(S, digits):
+    """The int64s a direction takes in the sweep's largest temporary: the digits
+    (1 on tables) times the lam-free pairs of the forms, or n if that is more."""
+    F = S.field
+    pairs = {key for form in S.forms for key in form if S.n not in key}
+    return (getattr(F, "degree", 1) if digits else 1) * max(len(pairs), S.n)
+
+
+def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
+    # element budgets that give 1-row chunks, chunks that end exactly on a
+    # lead-block boundary and chunks that end inside one, over GF(5) (digits
+    # at k = 1), GF(9) and GF(27) on tables, and GF(9) and GF(25) forced onto
+    # the digit route; lead blocks hold q^2, q and 1 directions at n = 3
+    from quadalg import ffenum
+
+    rng = random.Random(109)
+    cases = [(5, 3, True), (9, 2, False), (9, 3, False), (27, 2, False)]
+    cases += [(9, 2, True), (9, 3, True), (25, 2, True)]
+    for q, n, digits in cases:
+        F = finite_field(q)
+        monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0 if digits else 1 << 16)
+        S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+        systems = [build_system(zero_algebra(F, n)), S, perturb_system(S, *draw_perturbation(F, n, rng))]
+        # rows per chunk: 1; q, so that chunks end on every boundary; q + 2 and
+        # q - 1, so that they end inside blocks; q^2, the first block at n = 3
+        for S in systems:
+            ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
+            for rows in sorted({1, q, q + 2, q - 1, q ** (n - 1)}):
+                monkeypatch.setattr(ffenum, "_CHUNK", rows * _sweep_width(S, digits))
+                assert [s.coords for s in solve_exhaustive(S)] == ref, (q, n, digits, rows)
 
 
 def _verifier_accepts(S, rows):
@@ -444,10 +510,11 @@ def test_verifier_checks_a_system_without_tensor_from_its_forms():
 
 
 def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
-    # verification chunks of 7 and 10 rows: the zero algebra's 31 rows over
-    # F_5 at n = 3 come in lead blocks of 25, 5 and 1, so a chunk ends at row
-    # 28, inside the second block.  Lists and counts still match the P^n
-    # reference, and a bad row in the last chunk is caught.
+    # element budgets of 7 and 10 int64s: the zero algebra's 31 rows over F_5
+    # at n = 3 (lead blocks of 25, 5 and 1) are verified 1 and 2 rows at a
+    # time (4 int64s a row), so chunks end inside the second block.  Lists
+    # and counts still match the P^n reference, and a bad row in the last
+    # chunk is caught.
     import numpy as np
 
     from quadalg import ffenum
