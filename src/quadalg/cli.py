@@ -16,10 +16,11 @@ Subcommands, with the tuning flags each one reads (every one also takes
 Exit codes: 0 success (nontrivial solution / nonempty spectrum / generic
 verdict); 1 provably-none or none-found (the report's "certified" field
 tells which), empty spectrum, or positive-dimensional verdict; 2 parse
-error, unreadable file, a flag the command does not take, or a non-positive
-one; 3 dimension mismatch (a file's "dim", or a counterexample modulus's
-degree minus one, above ``algebra.MAX_DIM``: checked before the modulus is
-certified); 4 engine/field mismatch, unsupported field, or any other package
+error, unreadable file, a flag the command does not take, a non-positive
+one, or a negative --seed (perturb included); 3 dimension mismatch (a
+file's "dim", or a counterexample modulus's degree minus one, above
+``algebra.MAX_DIM``: checked before the modulus is certified); 4
+engine/field mismatch, unsupported field, or any other package
 error (characteristic two, a valuation violation, a division by zero, ...);
 5 reducible or even-degree modulus; 6 enumeration budget exceeded (a sweep,
 the q*(q+1) root search of ``witness`` over GF(q), or a rational root
@@ -327,13 +328,13 @@ def cmd_perturb(args):
     A = _load_algebra(args.algebra)
     from . import solver as sv
 
-    F = A.field
+    F, cfg = A.field, _config(args)
     seed = args.seed if args.seed is not None else 0
     print(f"seed: {seed}")
     rng = random.Random(seed)
     eps, phis = sv.draw_perturbation(F, A.dim, rng)
     S = sv.perturb_system(sv.build_system(A), eps, phis)
-    probe = sv.genericity_probe(S, _config(args))
+    probe = sv.genericity_probe(S, cfg)
     report = formats.counting_report(probe)
     report["seed"] = seed
     report["eps"] = [F.scalar_to_json(e) for e in eps]

@@ -2,8 +2,9 @@
 
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
-Index 0 is zero and index 1 is one in both cases.  A sweep within the budget
-has q <= 10^7, so every product formed fits in int64.
+Index 0 is zero and index 1 is one in both cases, and c < p is the constant c
+in every GF(p^k).  A sweep within the budget has q <= 10^7, so every product
+formed fits in int64.
 
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
@@ -53,21 +54,14 @@ class _ExtOps:
 
         base, p, k, q = F.base, F.base.p, F.degree, F.order
         n = q - 1
-        f = list(F.modulus)
         # g^(n/r) != 1 for every prime r dividing n
         primes = [r for r in _divisors(n) if is_prime(r)]
         for cand in range(1, q):
             g = _ptrim(base, _digits(cand, p, k))
-            if all(_ppowmod(base, g, n // r, f) != [1] for r in primes):
+            if all(_ppowmod(base, g, n // r, F.modulus) != [1] for r in primes):
                 break
-        # M maps the digits of y to those of g*y: column s holds g*t^s, and t*y
-        # shifts the digits up a place and folds the top one by t^k
-        col = np.array(_digits(cand, p, k), dtype=np.int64)
-        cols = [col]
-        for _ in range(k - 1):
-            col = (np.concatenate(([0], col[:-1])) - col[-1] * np.array(f[:-1])) % p
-            cols.append(col)
-        M = np.stack(cols, axis=1)
+        # M maps the digits of y to those of g*y
+        M = digit_ops(F).linear(np.reshape(_digits(cand, p, k), (k, 1, 1)))
         # P holds the digits of g^0 .. g^(m-1) as columns and M multiplies by
         # g^m, so each pass doubles m
         P = np.eye(k, 1, dtype=np.int64)

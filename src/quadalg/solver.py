@@ -69,8 +69,8 @@ class SolveConfig(namedtuple("SolveConfig", "residual_tol max_restarts k_max see
     __slots__ = ()
 
     def __new__(cls, residual_tol=1e-9, max_restarts=200, k_max=4, seed=0):
-        if not 0 < residual_tol < math.inf or max_restarts <= 0 or k_max <= 0:
-            raise ValueError("config values must be positive, and residual_tol finite")
+        if not 0 < residual_tol < math.inf or max_restarts <= 0 or k_max <= 0 or seed < 0:
+            raise ValueError("config values must be positive, residual_tol finite, seed >= 0")
         return super().__new__(cls, residual_tol, max_restarts, k_max, seed)
 
 
@@ -261,40 +261,41 @@ def _variable_pairs(n):
     return left, right, fold
 
 
-def _verify_solutions(S, rows):
+def _verify_solutions(S, rows, E=None):
     """Raise RuntimeError, naming the point, unless every index row solves S.
 
-    The rows, an (m, n+1) int64 array, are checked in chunks of about
-    ``ffenum._CHUNK`` int64s on base-p digit arrays (``ffenum.digit_ops``,
-    from the modulus, never the sweep's tables).  Multiplying by a constant is
-    a k x k matrix over GF(p), so the values x*x - lam*x are one matmul of the
-    pair products x_i*x_l and lam*x_j against a matrix built from the
-    structure tensor.  A perturbation subtracts eps_j * phi_j(x)^2, that is
-    eps_j*phi_ji*phi_jl at the pair (i, l) of form j, its constants multiplied
-    on digits too.  A system with no tensor is checked the same way from its
-    forms.
+    The rows, an (m, n+1) int64 array, index E: S.field, or GF(p^k) over a
+    prime S.field, whose low digit holds S's constants.  They are checked in
+    chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays
+    (``ffenum.digit_ops``, from the modulus, never the sweep's tables).
+    Multiplying by a constant is a k x k matrix over GF(p), so the values
+    x*x - lam*x are one matmul of the pair products x_i*x_l and lam*x_j
+    against a matrix built from the structure tensor.  A perturbation
+    subtracts eps_j * phi_j(x)^2, that is eps_j*phi_ji*phi_jl at the pair
+    (i, l) of form j, its constants multiplied on digits too.  A system with
+    no tensor is checked the same way from its forms.
     """
     if not len(rows):
         return
     import numpy as np
 
-    F, n = S.field, S.n
-    D = ffenum.digit_ops(F)
+    E, n = E or S.field, S.n
+    D, DS = ffenum.digit_ops(E), ffenum.digit_ops(S.field)
     # G[:, i, l, j]: the digits of the coefficient of x_i*x_l in g_j, where
     # variable n is lam
     G = np.zeros((D.k, n + 1, n + 1, n), dtype=np.int64)
     if S.tensor is None:
         for j, form in enumerate(S.forms):
             for (i, l), c in form.items():
-                G[:, i, l, j] = D.scalar_digits(c)
+                G[: DS.k, i, l, j] = DS.scalar_digits(c)
     else:
-        G[:, :n, :n] = D.scalar_digits(S.tensor.alpha)
+        G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
         G[0, :n, n] = (D.p - 1) * np.eye(n, dtype=np.int64)
         if S.perturbation is not None:
-            eps = D.scalar_digits([e for e, _ in S.perturbation])  # (k, j)
-            phi = D.scalar_digits([cs for _, cs in S.perturbation])  # (k, j, i)
-            prods = D.dmul(D.dmul(eps[:, :, None], phi)[..., None], phi[:, :, None, :])
-            G[:, :n, :n] -= prods.transpose(0, 2, 3, 1)
+            eps = DS.scalar_digits([e for e, _ in S.perturbation])  # (k, j)
+            phi = DS.scalar_digits([cs for _, cs in S.perturbation])  # (k, j, i)
+            prods = DS.dmul(DS.dmul(eps[:, :, None], phi)[..., None], phi[:, :, None, :])
+            G[: DS.k, :n, :n] -= prods.transpose(0, 2, 3, 1)
     left, right, fold = _variable_pairs(n)
     C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
     used = C.any(axis=(0, 1))  # pairs in no term are dropped
@@ -308,7 +309,7 @@ def _verify_solutions(S, rows):
         vals %= D.p
         if vals.any():
             bad = np.flatnonzero(vals.any(axis=(0, 1)))[0]
-            pt = tuple(F.scalar_from_index(int(i)) for i in chunk[bad])
+            pt = tuple(E.scalar_from_index(int(i)) for i in chunk[bad])
             raise RuntimeError(f"engine returned a non-solution {pt!r}")
 
 
@@ -319,32 +320,38 @@ def _require_eigen_form(S):
         raise ValueError(f"form j must read Q_j(x) - lam*x_j, its lam terms {{(j, {n}): -1}}")
 
 
-def _solution_rows(S):
+def _check_budget(q, n):
+    """Raise BudgetExceeded unless the |P^{n-1}| + 1 points a sweep over GF(q) counts fit."""
+    if (total := (q**n - 1) // (q - 1) + 1) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
+
+
+def _solution_rows(S, E=None):
     """Index rows (x : lam) of the nontrivial solutions over a finite field, verified.
 
-    Each form must read g_j = Q_j(x) - lam*x_j (ValueError otherwise), so x != 0
-    solves the system exactly when Q(x) = lam*x, with lam = Q_lead(x) at the
-    leftmost nonzero coordinate of x (scaled to 1).  ``fields.ENUMERATION_BUDGET``
-    bounds the points swept, |P^{n-1}| + 1, and with them the sweep's time.
-    For n >= 2 ``ffenum.solve_system`` sweeps the directions x in P^{n-1} and
-    the rows, an (m, n+1) int64 array in canonical order, pass
+    The field swept, E, is S.field or GF(p^k) over a prime S.field, where S's
+    form indices stand.  Each form must read g_j = Q_j(x) - lam*x_j (ValueError
+    otherwise), so x != 0 solves the system exactly when Q(x) = lam*x, with
+    lam = Q_lead(x) at the leftmost nonzero coordinate of x (scaled to 1).
+    ``fields.ENUMERATION_BUDGET`` bounds the points swept, |P^{n-1}(E)| + 1
+    (``_check_budget``), and with them the sweep's time.  For n >= 2
+    ``ffenum.solve_system`` sweeps the directions x in P^{n-1}(E) and the
+    rows, an (m, n+1) int64 array in canonical order, pass
     ``_verify_solutions``.  P^0 is the single direction (1), and g_0 =
     c*x_0^2 - lam*x_0 vanishes at (1 : c), so for n = 1 the rows are the list
     [(1, index of c)], Python ints with no numpy (the indices of GF(3^40) do
     not fit int64).
     """
-    F = S.field
+    F, E = S.field, E or S.field
     if not F.finite:
         raise UnsupportedField("exhaustive enumeration needs a finite field")
     _require_eigen_form(S)
-    total = (F.order**S.n - 1) // (F.order - 1) + 1
-    if total > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
+    _check_budget(E.order, S.n)
     if S.n == 1:
         return [(1, F.scalar_index(S.forms[0].get((0, 0), F.zero())))]
     forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
-    rows = ffenum.solve_system(F, S.n, forms_idx)
-    _verify_solutions(S, rows)
+    rows = ffenum.solve_system(E, S.n, forms_idx)
+    _verify_solutions(S, rows, E)
     return rows
 
 
@@ -608,26 +615,9 @@ def _as_system(A_or_S):
     raise TypeError("expected a StructureTensor or QuadraticSystem")
 
 
-def _embed_system(S, target):
-    """Re-read a prime-field system through the embedding into an extension."""
-    emb = target.embed
-    forms = [{key: emb(c) for key, c in form.items()} for form in S.forms]
-    tensor = None
-    if S.tensor is not None:
-        alpha = [
-            [[emb(a) for a in row] for row in plane] for plane in S.tensor.alpha
-        ]
-        tensor = StructureTensor(target, alpha)
-    pert = None
-    if S.perturbation is not None:
-        pert = tuple(
-            (emb(eps), tuple(emb(c) for c in phi)) for eps, phi in S.perturbation
-        )
-    return QuadraticSystem(target, S.n, forms, tensor=tensor, perturbation=pert)
-
-
 def count_solutions_extension(A_or_S, k):
-    """Distinct projective solutions over F_{p^k} (multiplicities not counted)."""
+    """Distinct projective solutions over F_{p^k} (multiplicities not counted),
+    swept and verified on the GF(p) system as it stands (``_solution_rows``)."""
     S = _as_system(A_or_S)
     F = S.field
     if not isinstance(F, PrimeField):
@@ -636,9 +626,8 @@ def count_solutions_extension(A_or_S, k):
         raise ValueError("extension degree must be >= 1")
     # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
     # every extension, so GF(p^k) is never built for it
-    if k > 1 and S.n > 1:
-        S = _embed_system(S, finite_field(F.p**k))
-    return len(_solution_rows(S)) + 1  # the rows and the trivial point
+    E = finite_field(F.p**k) if k > 1 and S.n > 1 else F
+    return len(_solution_rows(S, E)) + 1  # the rows and the trivial point
 
 
 class GenericityVerdict(Enum):
@@ -656,19 +645,19 @@ def genericity_probe(A_or_S, cfg=None):
     A count above 2^n anywhere indicates a positive-dimensional solution set;
     counts bounded by 2^n throughout are consistent with finitely many
     solutions over the closure.  Verdicts are heuristic, hence "Likely".
+    The budget is checked at k_max, the largest sweep, before any is run.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     S = _as_system(A_or_S)
     F = S.field
     if not isinstance(F, PrimeField):
         raise UnsupportedField("the genericity probe needs a prime base field")
+    _check_budget(F.p**cfg.k_max, S.n)
     bound = 2**S.n
-    counts = {}
-    verdict = GenericityVerdict.LIKELY_GENERIC
-    for k in range(1, cfg.k_max + 1):
-        counts[k] = count_solutions_extension(S, k)
-        if counts[k] > bound:
-            verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
+    counts = {k: count_solutions_extension(S, k) for k in range(1, cfg.k_max + 1)}
+    verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
+    if max(counts.values()) <= bound:
+        verdict = GenericityVerdict.LIKELY_GENERIC
     return ProbeReport(F.p, counts, verdict, bound)
 
 

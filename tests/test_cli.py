@@ -368,11 +368,22 @@ def test_bezout_zero_algebra_positive_dimensional(tmp_path, capsys):
 
 
 def test_bezout_budget_exceeded_exit_6(tmp_path, capsys):
-    # k = 1..3 complete; at k = 4 the sweep of P^3(F_625), 2.4e8 points,
-    # is refused before it starts
+    # the sweep of P^3(F_625) at k = 4, 2.4e8 points, is refused before the
+    # probe sweeps k = 1
     path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(4)))
     assert main(["bezout", path, "--kmax", "4"]) == 6
     capsys.readouterr()
+
+
+def test_bezout_refuses_its_largest_extension_before_sweeping(tmp_path, capsys, monkeypatch):
+    # k = 1..10 fit the budget and k = 11 (5^11 + 2 points) does not: exit 6
+    # with no sweep run
+    from quadalg import ffenum
+
+    monkeypatch.setattr(ffenum, "solve_system", lambda *args: pytest.fail("swept before the budget check"))
+    path = write_algebra(tmp_path, StructureTensor(PrimeField(5), _diagonal(2)))
+    assert main(["bezout", path, "--kmax", "11"]) == 6
+    assert "budget" in capsys.readouterr().err
 
 
 def test_bezout_dim1_counts_without_building_extensions(tmp_path, capsys):
@@ -405,6 +416,21 @@ def test_perturb_flips_zero_algebra_to_generic(tmp_path, capsys):
     assert rep["verdict"] == "LikelyGeneric"
     assert rep["seed"] == 3
     assert len(rep["eps"]) == 2 and len(rep["phis"]) == 2
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    # numpy's default_rng refuses a negative seed, so the config does first;
+    # perturb refuses it before it prints the seed or draws a perturbation
+    real = complex_algebra_file(tmp_path)
+    path = write_algebra(tmp_path, zero_algebra(PrimeField(5), 2))
+    for argv in (
+        ["solve", real, "--engine", "real", "--seed", "-1"],
+        ["spectrum", real, "--seed", "-2"],
+        ["perturb", path, "--seed", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_perturb_requires_prime_field(tmp_path, capsys):

@@ -183,6 +183,39 @@ def test_log_tables_build_fast(q):
     assert F.scalar_from_index(int(prod)) == F.mul(a, b)
 
 
+# sha256 of the exp, log and zech tables, each as little-endian 4-byte ints:
+# however g and its multiplication matrix are built, the tables must stay
+# bit for bit the same
+_TABLE_DIGESTS = {
+    4: "1beefd0cb4184774d59d3f367f81cf61ebd640a170fb4c607ac4cebad928abc3",
+    8: "029e3e3ca2c618c92f6648e60046fa851e09852f30fe32d53e8ee3b6afc33b00",
+    9: "4ca3492ce70ba4ef44ab0148ad223a2d22b2e1a185b8355e27d0c8308bfb6702",
+    25: "3038dfcfddd91c5c5e28a02a2a4624a8d571ea7ada394f985261f06f68b1739f",
+    27: "5f998717e81642cbd772a5e25115684acc0e7c6c616b7b61acf089c61bfb273e",
+    49: "ebe7db5290f2b0fd4ab93ccf4ab87b04189b1dbcfced4be5d99bb991be19ba28",
+    125: "c7a42370d3e6c7163e4f5e53a5adb55013dde9395a6f3c3c8349d91334ec44f5",
+    625: "f02ac4e87e52c1fc25c98f9e4dcbb88e7b70805d91473db2171143f7cb4f72e3",
+    3**9: "9ca7f322bf8b40163ec2ee1ed9da09e615bea8578de344fd120dfb1607b447d8",
+    2**16: "db544c5db65f3883cbaf507c9fd93e6d9c67a8bf6122ad5b3601e6fe831ac085",
+}
+
+
+@pytest.mark.parametrize("q", sorted(_TABLE_DIGESTS))
+def test_log_tables_are_bit_for_bit_frozen(q):
+    import hashlib
+
+    import numpy as np
+
+    from quadalg import ffenum
+
+    T = ffenum._ExtOps(finite_field(q))
+    digest = hashlib.sha256()
+    for table in (T.exp, T.log, T.zech):
+        assert table.dtype == np.intc
+        digest.update(table.astype("<i4").tobytes())
+    assert digest.hexdigest() == _TABLE_DIGESTS[q]
+
+
 def test_log_tables_are_compact():
     from quadalg import ffenum
 

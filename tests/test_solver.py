@@ -82,6 +82,19 @@ def form_cubic(S):
     return [F.neg(q2[0]), F.sub(q1[0], q2[1]), F.sub(q1[1], q2[2]), q1[2]]
 
 
+def system_over(S, E):
+    """The count oracle: the system of S's algebra built afresh over the
+    extension E, its tensor, eps and phi embedded and ``build_system`` and
+    ``perturb_system`` run in E's arithmetic."""
+    emb = E.embed
+    alpha = [[[emb(a) for a in row] for row in plane] for plane in S.tensor.alpha]
+    T = build_system(StructureTensor(E, alpha))
+    if S.perturbation is None:
+        return T
+    eps, phis = zip(*S.perturbation)
+    return perturb_system(T, [emb(e) for e in eps], [tuple(map(emb, phi)) for phi in phis])
+
+
 # ---------------------------------------------------------------------------
 # system construction
 # ---------------------------------------------------------------------------
@@ -518,7 +531,6 @@ def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
     import numpy as np
 
     from quadalg import ffenum
-    from quadalg.solver import _embed_system
 
     rng = random.Random(101)
     for chunk in (7, 10):
@@ -527,7 +539,7 @@ def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
             S = build_system(random_structure_tensor(F5, n, rng, commutative=False))
             systems = [build_system(zero_algebra(F5, n)), S, perturb_system(S, *draw_perturbation(F5, n, rng))]
             for S in systems:
-                T = _embed_system(S, finite_field(5**k)) if k > 1 else S
+                T = system_over(S, finite_field(5**k)) if k > 1 else S
                 ref = [pt for pt in projective_points(T.field, n) if T.is_solution(pt)]
                 assert [s.coords for s in solve_exhaustive(T)] == ref
                 assert count_solutions_extension(S, k) == len(ref)
@@ -538,10 +550,10 @@ def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
 
 
 def test_counting_builds_no_field_scalars(monkeypatch):
-    # count_solutions_extension reads the length of the verified rows and
-    # turns none of them into field scalars
+    # count_solutions_extension sweeps and verifies the GF(p) system on its
+    # own indices, reads the length of the verified rows, and builds no
+    # scalar of GF(p^k): neither an embedded constant nor a row's point
     from quadalg import ExtensionField
-    from quadalg.solver import _embed_system
 
     rng = random.Random(103)
     systems = [build_system(zero_algebra(F5, 2)), build_system(zero_algebra(F3, 3))]
@@ -553,10 +565,9 @@ def test_counting_builds_no_field_scalars(monkeypatch):
     for i, S in enumerate(systems):
         p = S.field.p
         for k in (2, 3):
-            want[i, k] = len(solve_exhaustive(_embed_system(S, finite_field(p**k))))
-    monkeypatch.setattr(
-        ExtensionField, "scalar_from_index", lambda self, i: pytest.fail("a count built a scalar")
-    )
+            want[i, k] = len(solve_exhaustive(system_over(S, finite_field(p**k))))
+    for name in ("scalar_from_index", "embed"):
+        monkeypatch.setattr(ExtensionField, name, lambda self, a: pytest.fail("a count built a scalar"))
     assert {(i, k): count_solutions_extension(S, k) for i, S in enumerate(systems) for k in (2, 3)} == want
 
 
@@ -802,6 +813,83 @@ def test_extension_counts_require_prime_base():
         count_solutions_extension(zero_algebra(finite_field(4), 2), 2)
 
 
+def _prime_systems(p, n, rng):
+    """Zero, random (non-commutative and commutative) and perturbed systems over GF(p)."""
+    F = PrimeField(p)
+    S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+    return [
+        build_system(zero_algebra(F, n)),
+        S,
+        perturb_system(S, *draw_perturbation(F, n, rng)),
+        build_system(random_structure_tensor(F, n, rng, commutative=True)),
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_extension_sweep_on_prime_indices_matches_the_rebuilt_system(p):
+    # a GF(p) system swept over GF(p^k) on its own indices returns, array for
+    # array, the rows of the system rebuilt over GF(p^k) (``system_over``); so
+    # does a hand-built system with the same forms and no tensor, verified
+    # from its forms.  Where P^n(GF(p^k)) is small, the rows are also the
+    # points that solve the rebuilt system in scalar arithmetic.
+    import numpy as np
+
+    rng = random.Random(p)
+    for n in (2, 3):
+        systems = _prime_systems(p, n, rng)
+        for k in (2, 3, 4):
+            E = finite_field(p**k)
+            if n == 3 and E.order > 125:
+                continue  # 10^5 or more directions a system
+            for S in systems:
+                T = system_over(S, E)
+                want = solver._solution_rows(T)
+                if (E.order ** (n + 1) - 1) // (E.order - 1) <= 3000:
+                    ref = [pt for pt in projective_points(E, n) if T.is_solution(pt)]
+                    assert [tuple(map(E.scalar_from_index, r)) for r in want.tolist()] == ref[:-1]
+                for U in (S, QuadraticSystem(S.field, n, S.forms)):
+                    rows = solver._solution_rows(U, E)
+                    assert rows.dtype == want.dtype and np.array_equal(rows, want), (p, n, k)
+                    assert count_solutions_extension(U, k) == len(want) + 1
+
+
+@pytest.mark.parametrize("q", [9, 27, 125, 2401, 5**7])
+def test_extension_verifier_refuses_a_wrong_digit_above_digit_0(q):
+    # lam moved to (lam + p) mod q keeps digit 0 of every coordinate, so only
+    # a check that reads E's higher digits refuses the row; x_lead = 1 makes
+    # g_lead = lam - lam', so the row is never a solution
+    import re
+
+    E = finite_field(q)
+    p = E.base.p
+    for S in _prime_systems(p, 2, random.Random(q)):
+        rows = solver._solution_rows(S, E)
+        for i in sorted({0, len(rows) // 2, len(rows) - 1}) if len(rows) else ():
+            bad = rows.copy()
+            bad[i, -1] = (bad[i, -1] + p) % q
+            assert (bad % p == rows % p).all()
+            pt = tuple(map(E.scalar_from_index, bad[i].tolist()))
+            with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
+                solver._verify_solutions(S, bad, E)
+            with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
+                solver._verify_solutions(QuadraticSystem(S.field, 2, S.forms), bad, E)
+
+
+def test_probe_checks_its_budget_before_any_sweep(monkeypatch):
+    # over F_{5^11} the |P^1| + 1 = 5^11 + 2 points exceed the budget, while
+    # k = 1..10 fit it: the probe refuses before it sweeps any of them
+    from quadalg import ffenum
+
+    monkeypatch.setattr(ffenum, "solve_system", lambda *args: pytest.fail("swept before the budget check"))
+    with pytest.raises(BudgetExceeded):
+        genericity_probe(diagonal_f5(), SolveConfig(k_max=11))
+    solver._check_budget(5**10, 2)  # 9,765,627 points
+    # dimension 1 sweeps 2 points over every extension
+    solver._check_budget(5**40, 1)
+    probe = genericity_probe(StructureTensor(F5, [[[1]]]), SolveConfig(k_max=40))
+    assert probe.counts == {k: 2 for k in range(1, 41)}
+
+
 def test_counts_monotone_along_divisibility():
     rng = random.Random(73)
     for _ in range(6):
@@ -916,7 +1004,7 @@ def test_solve_config_defaults_keywords_and_validation():
     assert (cfg.residual_tol, cfg.max_restarts, cfg.k_max, cfg.seed) == (1e-9, 200, 4, 0)
     assert SolveConfig(seed=3, k_max=2) == SolveConfig(1e-9, 200, 2, 3)
     assert hash(SolveConfig(seed=3)) == hash(SolveConfig(seed=3))
-    for bad in ({"max_restarts": 0}, {"k_max": -1}, {"residual_tol": 0.0},
+    for bad in ({"max_restarts": 0}, {"k_max": -1}, {"residual_tol": 0.0}, {"seed": -1},
                 {"residual_tol": float("inf")}, {"residual_tol": float("nan")}):
         with pytest.raises(ValueError):
             SolveConfig(**bad)
