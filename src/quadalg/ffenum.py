@@ -3,8 +3,8 @@
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases, and c < p is the constant c
-in every GF(p^k).  A sweep within the budget has q <= 10^7, so every product
-formed fits in int64.
+in every GF(p^k).  A sweep within the budget has q <= 10^7, so a product of
+two reduced digits, or of three at k = 1, fits in int64.
 
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
@@ -13,7 +13,10 @@ canonical order (by lead, then tails in mixed radix), a chunk at a time with
 about ``_CHUNK`` int64s in its largest temporary.  GF(p^k) of order up to 2^16
 is evaluated term by term on discrete-log tables built once per field
 (``_ExtOps``); every other field on base-p digits (``digit_ops``), all forms
-by one matmul of the pair products x_i*x_l against a coefficient matrix.  The
+by one float64 matmul of the pair products x_i*x_l against a coefficient
+matrix, each form value then reduced mod p once.  Every partial sum of that
+matmul is an integer below 2^53, so it is exact whatever order BLAS adds in
+(the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 2008).  The
 solver verifies the rows on digit arrays, which never read the tables.
 
 numpy is imported by the functions that use it, so importing this module (and
@@ -64,7 +67,7 @@ class _ExtOps:
         M = digit_ops(F).linear(np.reshape(_digits(cand, p, k), (k, 1, 1)))
         # P holds the digits of g^0 .. g^(m-1) as columns and M multiplies by
         # g^m, so each pass doubles m
-        P = np.eye(k, 1, dtype=np.int64)
+        P = np.eye(k, 1)
         while P.shape[1] < n:
             P = np.concatenate([P, M @ P % p], axis=1)
             M = M @ M % p
@@ -151,19 +154,28 @@ class _PolyOps:
         return a[None] if self.prime else a.transpose(-1, *range(a.ndim - 1))
 
     def linear(self, C):
-        """The matrix of y -> z, z_o = sum over i of c_oi * y_i, from the
-        (k, n_out, n_in) digits of the c_oi.  It maps a digit array of shape
-        (k, n_in, ...) to one of shape (k, n_out, ...) through ``apply``."""
+        """The float64 matrix, entries reduced mod p, of y -> z, z_o = sum over
+        i of c_oi * y_i, from the (k, n_out, n_in) digits of the c_oi.  It maps
+        a digit array of shape (k, n_in, ...) to one of shape (k, n_out, ...)
+        through ``apply``.  Raises OverflowError unless k*n_in*(p-1)^2 < 2^53,
+        so that ``apply`` is exact on digits reduced mod p."""
         import numpy as np
 
         k, n_out, n_in = C.shape
+        if k * n_in * (self.p - 1) ** 2 >= 1 << 53:
+            raise OverflowError(f"{k * n_in} products of digits mod {self.p} can sum past 2^53")
         W = np.einsum("uoi,urs->rosi", C, self.by_digit) % self.p
-        return W.reshape(k * n_out, k * n_in)
+        return W.reshape(k * n_out, k * n_in).astype(np.float64)
 
     @staticmethod
     def apply(W, y):
-        """W (from ``linear``) applied to the digit array y; not reduced mod p."""
-        return (W @ y.reshape(W.shape[1], -1)).reshape((y.shape[0], -1) + y.shape[2:])
+        """W (from ``linear``) applied to the int64 array y by a float64 matmul,
+        returned as int64 and not reduced mod p.  Exact while every sum of
+        products is below 2^53, as ``linear`` assures for y reduced mod p."""
+        import numpy as np
+
+        z = (W @ y.reshape(W.shape[1], -1)).astype(np.int64)
+        return z.reshape((y.shape[0], -1) + y.shape[2:])
 
 
 @lru_cache(maxsize=32)
@@ -207,6 +219,9 @@ def solve_system(F, n, forms_idx):
         C = np.zeros((k, n, n, n), dtype=np.int64)
         C[:, J, I, L] = ops.digits(c)
         W = ops.linear(C[:, :, left, right])
+        # at k = 1 the pair products enter the matmul unreduced while every sum
+        # of len(pairs) of them times entries of W stays below 2^53
+        reduce = k > 1 or len(pairs) * (ops.p - 1) ** 3 >= 1 << 53
     # place[j] = q^(n-1-j) is the size of lead block j and the place of x_j, and
     # v = g + shift[lead] is direction g's place in its block, with 1 at the lead
     place = [q ** (n - 1 - j) for j in range(n)]
@@ -223,7 +238,8 @@ def solve_system(F, n, forms_idx):
         d = v // unit[..., None] % radix  # (k, n, rows)
         at = (lead, np.arange(len(g)))
         if digits:
-            vals = ops.apply(W, ops.dmul(d[:, left], d[:, right]))
+            prods = ops.dmul(d[:, left], d[:, right]) if reduce else d[:, left] * d[:, right]
+            vals = ops.apply(W, prods)
             vals %= radix
             lam = vals[(slice(None),) + at]
             hit = (vals == ops.dmul(lam[:, None], d)).all(axis=(0, 1))

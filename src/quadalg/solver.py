@@ -269,8 +269,10 @@ def _verify_solutions(S, rows, E=None):
     chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays
     (``ffenum.digit_ops``, from the modulus, never the sweep's tables).
     Multiplying by a constant is a k x k matrix over GF(p), so the values
-    x*x - lam*x are one matmul of the pair products x_i*x_l and lam*x_j
-    against a matrix built from the structure tensor.  A perturbation
+    x*x - lam*x are one float64 matmul of the reduced pair products x_i*x_l
+    and lam*x_j against a matrix built from the structure tensor, exact since
+    every partial sum is an integer below 2^53 (``ffenum._PolyOps.linear``
+    raises otherwise), then reduced mod p once.  A perturbation
     subtracts eps_j * phi_j(x)^2, that is eps_j*phi_ji*phi_jl at the pair
     (i, l) of form j, its constants multiplied on digits too.  A system with
     no tensor is checked the same way from its forms.

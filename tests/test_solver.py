@@ -40,6 +40,7 @@ from quadalg import (
     zero_algebra,
 )
 from quadalg import solver
+from quadalg.fields import is_prime
 from quadalg.solver import draw_perturbation, normalize_point
 
 Q = Rationals()
@@ -386,6 +387,48 @@ def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
     # Q_0(1, u) = -(1 + u)^2 is lam at (1 : u)
     want = [(1, u, -((1 + u) ** 2) % p) for u in (1, p - 1)]
     assert [s.coords for s in solve_exhaustive(S)] == want + [(0, 0, 1)]
+
+
+@pytest.mark.parametrize("p, draws", [(144259, 4), (144271, 4), (1000003, 0)])
+def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
+    # at n = 2 the sweep's float64 matmul sums three pair products against
+    # entries below p.  It takes them unreduced while 3 (p - 1)^3 < 2^53, which
+    # 144259 is the largest prime to meet; 144271 and 1000003 reduce them
+    # first, and at 1000003 unreduced sums would pass 2^53 and lose rows.
+    # Every structure constant p - 1 reads off the closed form of the largest
+    # prime's test; seeded random tensors read off the roots of their cubic,
+    # which take seconds to find over GF(1000003).
+    assert is_prime(144259) and is_prime(144271) and not any(map(is_prime, range(144260, 144271)))
+    assert 3 * (144259 - 1) ** 3 < 2**53 <= 3 * (144271 - 1) ** 3
+    F = PrimeField(p)
+    S = build_system(StructureTensor(F, [[[p - 1] * 2] * 2] * 2))
+    assert form_cubic(S) == [1, 1, p - 1, p - 1]
+    want = [(1, u, -((1 + u) ** 2) % p) for u in (1, p - 1)]
+    assert [s.coords for s in solve_exhaustive(S)] == want + [(0, 0, 1)]
+    rng = random.Random(p)
+    for i in range(draws):
+        S = build_system(random_structure_tensor(F, 2, rng, commutative=i == 0))
+        c = form_cubic(S)
+        dirs = [(1, u) for u in polynomial_roots(Polynomial(F, c))]
+        dirs += [(0, 1)] if F.is_zero(c[3]) else []
+        assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
+
+
+def test_digit_matrix_refuses_sums_past_2_53():
+    # three digits of GF(2^31 - 1) times entries below p can sum past 2^53,
+    # where float64 stops being exact
+    import numpy as np
+
+    from quadalg import ffenum
+
+    with pytest.raises(OverflowError):
+        ffenum.digit_ops(PrimeField(2**31 - 1)).linear(np.ones((1, 1, 3), dtype=np.int64))
+    # no field within the budget trips it: the widest matrices are the
+    # verifier's, six pairs of (x_1, x_2, lam) at n = 2, over the largest
+    # prime swept and over GF(5^7)
+    for F in (PrimeField(9999991), finite_field(5**7)):
+        D = ffenum.digit_ops(F)
+        assert D.linear(np.ones((D.k, 2, 6), dtype=np.int64)).dtype == np.float64
 
 
 def _sweep_width(S, digits):
