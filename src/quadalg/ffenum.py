@@ -9,26 +9,36 @@ two reduced digits, or of three at k = 1, fits in int64.
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
 lam = Q_lead(x).  ``solve_system`` sweeps every direction in one loop, in
-canonical order (by lead, then tails in mixed radix), a chunk at a time with
-about ``_CHUNK`` int64s in its largest temporary.  GF(p^k) of order up to 2^16
-is evaluated term by term on discrete-log tables built once per field
-(``_ExtOps``); every other field on base-p digits (``digit_ops``), all forms
-by one float64 matmul of the pair products x_i*x_l against a coefficient
-matrix, each form value then reduced mod p once.  Every partial sum of that
-matmul is an integer below 2^53, so it is exact whatever order BLAS adds in
-(the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 2008).  The
-solver verifies the rows on digit arrays, which never read the tables.
+canonical order (by lead, then tails in mixed radix).  Each direction splits
+as x = u + w, the prefix u on the first n - m coordinates and the suffix w
+on the last m, and a tile pairs a run of prefixes with a block of suffixes,
+about ``_CHUNK`` int64s in its largest temporary.  The directions whose lead
+lies in w (the zero prefix) are the directions of P^(m-1), swept last.  The
+suffixes' digits and pair products are tabled once per field and m when they
+fit the budget, so no row is divided into digits; a one-coordinate suffix
+over a larger field is built block by block.  GF(p^k) of order up to 2^16 is
+evaluated term by term on discrete-log tables built once per field
+(``_ExtOps``).  Every other field works on base-p digits (``digit_ops``):
+since Q_j(u + w) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's
+form values take one float64 matmul of each prefix's matrix of
+w -> B(u, w) + Q(u) against the suffix digits, plus Q(w), one matmul per
+suffix block.  Every partial sum of these matmuls is an integer below 2^53,
+so it is exact whatever order BLAS adds in (the method of FFLAS-FFPACK:
+Dumas, Giorgi and Pernet, ACM TOMS 2008), and a row solves when each
+residual Q_j(x) - lam*x_j is a multiple of p.  The solver verifies the rows
+on digit arrays, which never read the tables.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
 """
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import chain
 
 from .fields import PrimeField, _digits, _divisors, _ppowmod, _ptrim, is_prime
 
-# Element budget: about the most int64s a chunk's temporaries hold (digits x pairs x rows)
+# Element budget: about the most int64s a tile's temporaries hold (digits x forms x
+# rows) and a suffix table holds (it sets the suffix length m)
 _CHUNK = 1 << 15
 # Largest order of a GF(p^k) swept on discrete-log tables (``_ExtOps``)
 _TABLE_LIMIT = 1 << 16
@@ -125,6 +135,8 @@ class _PolyOps:
         import numpy as np
 
         a = np.asarray(a)
+        if self.k == 1:  # an index below p is its own digit
+            return a.reshape((1,) + (a.shape or (1,)))
         return a[None] // self.place.reshape((-1,) + (1,) * max(a.ndim, 1)) % self.p
 
     def dmul(self, da, db):
@@ -164,7 +176,7 @@ class _PolyOps:
         k, n_out, n_in = C.shape
         if k * n_in * (self.p - 1) ** 2 >= 1 << 53:
             raise OverflowError(f"{k * n_in} products of digits mod {self.p} can sum past 2^53")
-        W = np.einsum("uoi,urs->rosi", C, self.by_digit) % self.p
+        W = (C[0] if k == 1 else np.einsum("uoi,urs->rosi", C, self.by_digit)) % self.p
         return W.reshape(k * n_out, k * n_in).astype(np.float64)
 
     @staticmethod
@@ -196,6 +208,145 @@ def _ops_cached(F):
     return _tables(F)
 
 
+@lru_cache(maxsize=16)
+def _pairs(m):
+    """The pairs (i, l), i <= l < m, as two index arrays in ``triu_indices`` order."""
+    import numpy as np
+
+    return np.triu_indices(m)
+
+
+def _suffix_size(q, n, k):
+    """The suffix length m, and whether all q^m suffixes are tabled: the
+    largest m < n whose suffixes, at k*max(n, m(m+3)/2 + 1) int64s each
+    (digits, the constant, pair products, or one row's form values), fit in
+    ``_CHUNK``; else m = 1, in blocks."""
+    m = 1
+    while m + 1 < n and k * q ** (m + 1) * max(n, (m + 1) * (m + 4) // 2 + 1) <= _CHUNK:
+        m += 1
+    return m, k * q**m * max(n, m * (m + 3) // 2 + 1) <= _CHUNK
+
+
+def _narrow(a, top):
+    """The integer array a, entries 0..top, in the narrowest signed type that holds them."""
+    import numpy as np
+
+    return a.astype(np.min_scalar_type(-top - 1), copy=False)
+
+
+def _suffix_rows(F, ops, m, v):
+    """The suffixes w in F^m of index v (w_0 most significant, base q): their
+    digits (k, m, len) and, on digits, the matmul operand of B(u, w) + Q(u)
+    (the digits with a constant 1 appended as coordinate m) and that of Q(w)
+    (the pair products w_i*w_l, i <= l, in ``_pairs`` order), all stored
+    narrow (``_narrow``).
+
+    At k = 1 the products stay unreduced while pairs*(p-1)^3 + (m+1)*(p-1)^2
+    + p < 2^53, so that every form value is an integer below 2^53 - p: Q(w)
+    sums the products times coefficients below p, and B(u, w) + Q(u) sums
+    m + 1 reduced digits times reduced coefficients, u's own products (x_lead
+    = 1 among them) being reduced into the coefficients of w and of the
+    constant.  At n = 2, where u = (1), that holds for every prime up to
+    208,057.  Otherwise, and above k = 1, the products are reduced mod p."""
+    import numpy as np
+
+    q = F.order
+    x = v[None] if m == 1 else v // q ** np.arange(m - 1, -1, -1)[:, None] % q
+    if not isinstance(ops, _PolyOps):
+        return _narrow(x, q - 1)[None], None, None
+    k, p = ops.k, ops.p
+    d = x[None] if k == 1 else ops.digits(x)
+    left, right = _pairs(m)
+    if k > 1:
+        prods = ops.dmul(d[:, left], d[:, right])
+    else:
+        prods = d[:, left] * d[:, right]
+        if len(left) * (p - 1) ** 3 + (m + 1) * (p - 1) ** 2 + p >= 1 << 53:
+            prods %= p
+    one = np.broadcast_to(np.eye(k, 1, dtype=np.int64)[:, :, None], (k, 1, len(v)))
+    return _narrow(d, p - 1), _narrow(np.concatenate([d, one], axis=1), p - 1), _narrow(prods, (p - 1) ** 2)
+
+
+@lru_cache(maxsize=16)
+def _suffix_tables(F, ops, m, whole):
+    """The suffix tables over F^m, built once: all q^m suffixes if ``whole``
+    (else None), and the zero prefix's, the directions of P^(m-1) in
+    canonical order, with their leads."""
+    import numpy as np
+
+    block = F.order ** np.arange(m - 1, -1, -1)
+    norm = np.concatenate([np.arange(b, 2 * b) for b in block.tolist()])
+    table = _suffix_rows(F, ops, m, np.arange(F.order**m)) if whole else None
+    return table, _suffix_rows(F, ops, m, norm), np.repeat(np.arange(m), block)
+
+
+def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
+    """One tile: each prefix u of index ``prefixes`` in P^(n-m-1) against the
+    suffixes of index ``suffixes`` (None: the whole table), then the zero
+    prefix's rows if ``zero``.  Returns the suffix block, the prefix count,
+    the float64 matmul operand of the prefixes (the digits of u and of its
+    pair products; None on tables), and each row's digits (k, n, rows),
+    stored narrow, and the flat index of its lead in an (n, rows) array."""
+    import numpy as np
+
+    q, digits = F.order, isinstance(ops, _PolyOps)
+    k, nu = (ops.k if digits else 1), n - m
+    table, zero_rows, zero_lead = _suffix_tables(F, ops, m, whole)
+    blk = table if suffixes is None else _suffix_rows(F, ops, m, suffixes)
+    # place[i] = q^(nu-1-i) is the size of lead block i and the place of u_i,
+    # and g + 2 place[lead] - ends[lead] is prefix g's place in its block
+    place = q ** np.arange(nu - 1, -1, -1)
+    ends = np.cumsum(place)
+    lead = np.searchsorted(ends, prefixes, side="right")
+    xu = (prefixes + 2 * place[lead] - ends[lead]) // place[:, None] % q
+    du = ops.digits(xu) if digits and k > 1 else xu[None]
+    S, V = len(prefixes), blk[0].shape[2]
+    u, w = np.broadcast_to(du[..., None], (k, nu, S, V)), np.broadcast_to(blk[0][:, :, None], (k, m, S, V))
+    x = np.concatenate([u, w], axis=1, dtype=blk[0].dtype).reshape(k, n, S * V)
+    lead = np.repeat(lead, V)
+    if zero:
+        tail = np.concatenate([np.zeros((k, nu, len(zero_lead)), x.dtype), zero_rows[0]], axis=1)
+        x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + zero_lead])
+    y = None
+    if digits:
+        left, right = _pairs(nu)
+        y = np.concatenate([du, ops.dmul(du[:, left], du[:, right])], axis=1)
+        y = y.reshape(k * (nu + len(left)), S).astype(np.float64)
+    return blk, S, y, x, _narrow(lead * len(lead) + np.arange(len(lead)), n * len(lead))
+
+
+@lru_cache(maxsize=16)
+def _single_tile(F, ops, n, m):
+    """The tile of a sweep that is one tile, built once per field and n."""
+    import numpy as np
+
+    return _tile(F, ops, n, m, True, np.arange((F.order ** (n - m) - 1) // (F.order - 1)), None, True)
+
+
+def _tiles(F, ops, n, m, whole):
+    """The sweep's tiles in canonical order, of about ``_CHUNK`` // (k*n) rows:
+    as many prefixes as fit against the whole suffix table, or one against
+    each block of suffixes.  The zero prefix's rows share the last tile if
+    they fit, else they follow alone."""
+    import numpy as np
+
+    q, k = F.order, getattr(ops, "k", 1)
+    total, V, Z = (q ** (n - m) - 1) // (q - 1), q**m, len(_suffix_tables(F, ops, m, whole)[2])
+    rows = max(1, _CHUNK // (k * n))
+    pstep, vstep = (max(1, rows // V), V) if whole else (1, rows)
+    spans = [(g, min(g + pstep, total), v, min(v + vstep, V))
+             for g in range(0, total, pstep) for v in range(0, V, vstep)]
+    share = bool(spans) and (spans[-1][1] - spans[-1][0]) * (spans[-1][3] - spans[-1][2]) + Z <= rows
+    if whole and share and len(spans) == 1:
+        yield _single_tile(F, ops, n, m)
+        return
+    for i, (g0, g1, v0, v1) in enumerate(spans):
+        suffixes = None if whole else np.arange(v0, v1)
+        yield _tile(F, ops, n, m, whole, np.arange(g0, g1), suffixes, share and i == len(spans) - 1)
+    if not share:
+        yield _tile(F, ops, n, m, whole, np.arange(0), None if whole else np.arange(0), True)
+
+
 def solve_system(F, n, forms_idx):
     """Index rows of the nontrivial projective solutions, in canonical order.
 
@@ -203,57 +354,84 @@ def solve_system(F, n, forms_idx):
     solution.  ``forms_idx[j]`` maps variable pairs to coefficient indices and
     must have the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j
     (the keys without variable n) is read.
+
+    Every direction is x = u + w, w its last m coordinates (``_suffix_size``),
+    so Q_j(x) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear.  On digits a
+    tile of prefixes u against a block of suffixes w (``_tiles``) takes one
+    float64 matmul of the prefixes' matrices of w -> B(u, w) + Q(u) against
+    the suffix digits, plus Q(w), computed once per block.  The table route
+    evaluates the forms term by term on the same rows.
     """
     import numpy as np
 
     ops = _ops_cached(F)
     digits = isinstance(ops, _PolyOps)
-    q, k = F.order, ops.k if digits else 1
-    # (form, pair, coefficient index) of every term of Q, grouped by form
-    terms = [(j, key, c) for j, form in enumerate(forms_idx) for key, c in form.items() if n not in key]
-    pairs = sorted({key for _, key, _ in terms}) or [(0, 0)]  # no empty arrays
-    left, right = np.array(pairs, dtype=np.int64).T
+    k = ops.k if digits else 1
+    m, whole = _suffix_size(F.order, n, k)
+    nu = n - m
+    table, zero_rows, _ = _suffix_tables(F, ops, m, whole)
     if digits:
-        # C[:, j, i, l]: the digits of the coefficient of x_i*x_l in Q_j
-        J, I, L, c = np.array([(j, *key, c) for j, key, c in terms], dtype=np.int64).reshape(-1, 4).T
-        C = np.zeros((k, n, n, n), dtype=np.int64)
-        C[:, J, I, L] = ops.digits(c)
-        W = ops.linear(C[:, :, left, right])
-        # at k = 1 the pair products enter the matmul unreduced while every sum
-        # of len(pairs) of them times entries of W stays below 2^53
-        reduce = k > 1 or len(pairs) * (ops.p - 1) ** 3 >= 1 << 53
-    # place[j] = q^(n-1-j) is the size of lead block j and the place of x_j, and
-    # v = g + shift[lead] is direction g's place in its block, with 1 at the lead
-    place = [q ** (n - 1 - j) for j in range(n)]
-    place, ends = np.array([place, list(accumulate(place))], dtype=np.int64)
-    shift = 2 * place - ends
-    # digit s of x_j is v // unit[s, j] % radix: base p on digits, q on tables
-    radix, unit = (ops.p, np.multiply.outer(ops.place, place)) if digits else (q, place[None])
-    total, step = int(ends[-1]), max(1, _CHUNK // (k * max(len(pairs), n)))
+        # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l
+        # in Q_j (keys with lam, variable n, land at l = n and are not read)
+        J = np.repeat(np.arange(len(forms_idx)), [len(form) for form in forms_idx])
+        keys = np.fromiter(chain.from_iterable(chain.from_iterable(forms_idx)), np.int64, 2 * len(J))
+        I, L = keys.reshape(-1, 2).T
+        c = np.fromiter(chain.from_iterable(form.values() for form in forms_idx), np.int64, len(J))
+        G = np.zeros((k, n, n + 1, n + 1), dtype=np.int64)
+        np.add.at(G, (slice(None), J, np.minimum(I, L), np.maximum(I, L)), ops.digits(c))
+        (lu, ru), (lw, rw) = _pairs(nu), _pairs(m)
+        Ww = ops.linear(G[:, :, nu + lw, nu + rw])
+        # Wu maps a prefix operand (u, its pair products) to the coefficients
+        # of w_0 .. w_{m-1} and of the constant 1 in each Q_j(u + w)
+        C = np.zeros((k, n, m + 1, nu + len(lu)), dtype=np.int64)
+        C[:, :, :m, :nu] = G[:, :, :nu, nu:n].transpose(0, 1, 3, 2)
+        C[:, :, m, nu:] = G[:, :, lu, ru]
+        Wu = ops.linear(C.reshape(k, n * (m + 1), -1))
+
+        def quad(blk):
+            """Q(w) on a suffix block, (k, n, len), unreduced."""
+            return (Ww @ blk[2].reshape(Ww.shape[1], -1).astype(np.float64)).reshape(k, n, -1)
+
+        Qw = quad(table) if whole else None
+    else:
+        terms = [(j, key, c) for j, form in enumerate(forms_idx) for key, c in form.items() if n not in key]
     blocks = [np.zeros((0, n + 1), dtype=np.int64)]
-    for start in range(0, total, step):
-        g = np.arange(start, min(start + step, total), dtype=np.int64)
-        lead = np.searchsorted(ends, g, side="right")
-        v = g + shift[lead]
-        d = v // unit[..., None] % radix  # (k, n, rows)
-        at = (lead, np.arange(len(g)))
+    for blk, S, y, x, at in _tiles(F, ops, n, m, whole):
+        R, V = x.shape[2], blk[0].shape[2]
         if digits:
-            prods = ops.dmul(d[:, left], d[:, right]) if reduce else d[:, left] * d[:, right]
-            vals = ops.apply(W, prods)
-            vals %= radix
-            lam = vals[(slice(None),) + at]
-            hit = (vals == ops.dmul(lam[:, None], d)).all(axis=(0, 1))
-            lam = ops.place @ lam
+            vals = np.empty((k, n, R))
+            if S:
+                TQ = (Wu @ y).astype(np.int64).reshape(k, n, m + 1, S).transpose(0, 1, 3, 2)
+                L = ops.linear(TQ.reshape(k, n * S, m + 1)).reshape(k * n, S, k * (m + 1))
+                main = vals[:, :, : S * V].reshape(k * n, S, V)
+                np.matmul(L, blk[1].reshape(k * (m + 1), V).astype(np.float64), out=main)
+                main += (Qw if whole else quad(blk)).reshape(k * n, 1, V)
+            if R > S * V:
+                vals[:, :, S * V :] = quad(zero_rows)
         else:
-            x = d[0]
-            prods = {pair: ops.mul(x[pair[0]], x[pair[1]]) for pair in pairs}
-            vals, last = np.zeros_like(x), None
-            for j, pair, c in terms:
-                term = ops.mul(c, prods[pair])
-                vals[j] = ops.add(vals[j], term) if j == last else term
+            prods = {key: ops.mul(x[0, key[0]], x[0, key[1]]) for key in {key for _, key, _ in terms}}
+            vals, last = np.zeros((1, n, R), dtype=np.int64), None
+            for j, key, c in terms:
+                term = ops.mul(c, prods[key])
+                vals[0, j] = ops.add(vals[0, j], term) if j == last else term
                 last = j
-            lam = vals[at]
-            hit = (vals == ops.mul(lam, x)).all(axis=0)
+        lam = vals.reshape(k, -1)[:, at]
+        if digits:
+            # each residual Q_j(x) - lam*x_j is an integer below 2^53, exact in
+            # float64, and a multiple of p exactly when p*rint(r/p) == r
+            lam = lam.astype(np.int64) % ops.p
+            t = ops.dmul(lam[:, None], x) if k > 1 else np.multiply(lam[:, None], x, dtype=np.float64)
+            vals -= t
+            t = np.multiply(vals, 1.0 / ops.p, out=t if k == 1 else None)
+            np.rint(t, out=t)
+            t *= ops.p
+            hit = (t == vals).reshape(k * n, R).all(axis=0)
+        else:
+            hit = (vals == ops.mul(lam[:, None], x)).reshape(n, R).all(axis=0)
         if hit.any():
-            blocks.append(np.vstack([v[hit] // place[:, None] % q, lam[hit]]).T)
+            h = np.flatnonzero(hit)
+            xs, lam = x[:, :, h], lam[:, h]
+            if k > 1:
+                xs, lam = np.tensordot(ops.place, xs, 1), ops.place @ lam
+            blocks.append(np.vstack([xs.reshape(n, -1), lam.reshape(1, -1)]).T)
     return np.concatenate(blocks)

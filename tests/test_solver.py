@@ -247,9 +247,10 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
     rng = random.Random(53)
     chunk = ffenum._CHUNK
     cases = [(F, n, chunk) for F in (F3, F5, finite_field(9), finite_field(25)) for n in (1, 2, 3)]
-    # element budgets of 7 and 10 int64s: chunks of one to three rows, shorter
-    # than the lead blocks (25 and 81 points), so that chunk boundaries fall
-    # inside a block
+    # element budgets of 7 and 10 int64s (3 a row at n = 3): tiles of one
+    # prefix against two or three of the 5 or 9 suffixes, so that tiles end
+    # inside the suffix block; the zero prefix's row shares the last tile
+    # over F_5 and follows alone over F_9
     cases += [(F5, 3, 7), (finite_field(9), 3, 10)]
     for F, n, chunk in cases:
         monkeypatch.setattr(ffenum, "_CHUNK", chunk)
@@ -343,8 +344,8 @@ def test_ffenum_digit_arithmetic_matches_log_tables(q):
 def test_scalar_sweep_matches_scalar_reference(monkeypatch):
     # the digit ops serve GF(p^k) above 2^16; forcing them on small fields
     # checks their sweep against the full P^n reference, with element budgets
-    # of 4 and 10 int64s: 1-row chunks, which end inside the lead blocks (of
-    # 9, 27 and 81 points)
+    # of 4 and 10 int64s: 1-row tiles (k*n int64s a row), one suffix of a
+    # block each, and the zero prefix's row alone
     from quadalg import ffenum
 
     monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0)
@@ -375,6 +376,58 @@ def test_exhaustive_over_gf65537_reads_off_the_cubic():
     assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
 
 
+def test_sweep_matches_the_projective_points_oracle():
+    # seeded zero, random and perturbed systems over GF(2), 3, 5 and 7 at
+    # n = 2..5 against the scalar loop over P^n.  Every direction solves the
+    # zero algebra, so the rows whose lead lies in the suffix, swept after
+    # all others and in canonical order, are all hits there.
+    rng = random.Random(113)
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for n in range(2, 6):
+            S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+            for T in (build_system(zero_algebra(F, n)), S, perturb_system(S, *draw_perturbation(F, n, rng))):
+                ref = [pt for pt in projective_points(F, n) if T.is_solution(pt)]
+                assert [s.coords for s in solve_exhaustive(T)] == ref, (p, n)
+
+
+# (system, rows shape, sha256 of the int64 rows) for the benchmark's largest
+# sweeps and the route edges: the digests of the rows the per-row
+# pair-product sweep returned, which the prefix x suffix sweep must match
+# bit for bit.  "quotient q f" is the quotient by the modulus f (lowest
+# coefficient first), "random q n seed" a noncommutative random tensor and
+# "zero q n" the zero algebra.
+_PINNED_ROWS = [
+    ("quotient 3 1,2,1,1,2,1,0,2,2,1", (0, 9), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("quotient 5 2,2,0,0,0,2,2,1", (0, 7), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("random 5 6 5", (3, 7), "50ad760db72071ddc8f80277403410d55937da03879d31c6186471d25441176f"),
+    ("random 1000003 2 11", (3, 3), "b44c43658336f883c4b298993b1b9d5e44a8be1c3c4bb20a8bd6b37cb63f3ecb"),
+    ("random 78125 2 5", (3, 3), "5cad6c5616da3298f3c54a76a547614bf0ace152d188d06cd613d1f841e0d395"),
+    ("zero 625 3", (391251, 4), "104b4a607cfc056c1c8293926e2f8af4ee072a509f266dd4c56a8cea79f4c86a"),
+]
+
+
+@pytest.mark.parametrize("system, shape, digest", _PINNED_ROWS)
+def test_sweep_rows_match_pinned_digests(system, shape, digest):
+    import hashlib
+
+    from quadalg import ffenum
+
+    kind, q, *rest = system.split()
+    F = finite_field(int(q))
+    if kind == "quotient":
+        A = counterexample_algebra(F, Polynomial(F, [int(c) for c in rest[0].split(",")]))
+    elif kind == "random":
+        A = random_structure_tensor(F, int(rest[0]), random.Random(int(rest[1])), commutative=False)
+    else:
+        A = zero_algebra(F, int(rest[0]))
+    S = build_system(A)
+    forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
+    rows = ffenum.solve_system(F, S.n, forms_idx)
+    assert rows.dtype.str == "<i8" and rows.shape == shape
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
 def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
     # every structure constant p - 1 at the largest prime the budget sweeps
     # (n = 2): coordinates, constants and pair products all sit near p - 1, so
@@ -389,18 +442,37 @@ def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
     assert [s.coords for s in solve_exhaustive(S)] == want + [(0, 0, 1)]
 
 
-@pytest.mark.parametrize("p, draws", [(144259, 4), (144271, 4), (1000003, 0)])
+def _unreduced_bound(p):
+    """The sweep's bound at n = 2 (and at n = 3 above p = 10922): the one
+    suffix pair product w^2 enters its float64 matmul unreduced while
+    (p - 1)^3 + 2 (p - 1)^2 + p < 2^53."""
+    return (p - 1) ** 3 + 2 * (p - 1) ** 2 + p < 2**53
+
+
+@pytest.mark.parametrize("p, draws", [(144259, 4), (144271, 4), (208057, 4), (208067, 4), (1000003, 0)])
 def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
-    # at n = 2 the sweep's float64 matmul sums three pair products against
-    # entries below p.  It takes them unreduced while 3 (p - 1)^3 < 2^53, which
-    # 144259 is the largest prime to meet; 144271 and 1000003 reduce them
+    # at n = 2 each direction is x = (x_0, w): the sweep's float64 matmul sums
+    # w^2 times an entry below p, and two reduced digit products for x_0 = 1.
+    # w^2 stays unreduced while (p - 1)^3 + 2 (p - 1)^2 + p < 2^53, which
+    # 208057 is the largest prime to meet; 208067 and 1000003 reduce it
     # first, and at 1000003 unreduced sums would pass 2^53 and lose rows.
-    # Every structure constant p - 1 reads off the closed form of the largest
-    # prime's test; seeded random tensors read off the roots of their cubic,
-    # which take seconds to find over GF(1000003).
+    # 144259 and 144271 flank 3 (p - 1)^3 < 2^53, the bound of a sweep that
+    # sums all three pair products of x unreduced.  Every structure constant
+    # p - 1 reads off the closed form of the largest prime's test; seeded
+    # random tensors read off the roots of their cubic, which take seconds to
+    # find over GF(1000003).
+    import numpy as np
+
+    from quadalg import ffenum
+
     assert is_prime(144259) and is_prime(144271) and not any(map(is_prime, range(144260, 144271)))
     assert 3 * (144259 - 1) ** 3 < 2**53 <= 3 * (144271 - 1) ** 3
+    assert is_prime(208057) and is_prime(208067) and not any(map(is_prime, range(208058, 208067)))
+    assert _unreduced_bound(208057) and not _unreduced_bound(208067)
     F = PrimeField(p)
+    # the sweep's suffix product at w = p - 1 is unreduced exactly below the bound
+    prods = ffenum._suffix_rows(F, ffenum.digit_ops(F), 1, np.array([p - 1]))[2]
+    assert (int(prods.max()) == (p - 1) ** 2) == _unreduced_bound(p)
     S = build_system(StructureTensor(F, [[[p - 1] * 2] * 2] * 2))
     assert form_cubic(S) == [1, 1, p - 1, p - 1]
     want = [(1, u, -((1 + u) ** 2) % p) for u in (1, p - 1)]
@@ -412,6 +484,41 @@ def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
         dirs = [(1, u) for u in polynomial_roots(Polynomial(F, c))]
         dirs += [(0, 1)] if F.is_zero(c[3]) else []
         assert [s.coords[:2] for s in solve_exhaustive(S)] == dirs + [(0, 0)]
+
+
+@pytest.mark.parametrize("p", [208057, 208067])
+def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p):
+    # at n = 3 and these primes the suffix is again one coordinate (m = 1),
+    # so the n = 2 bound decides, but P^2 has 4e10 directions.  The sweep is
+    # run on one tile of its own rows instead: prefixes (1, a) and suffixes w
+    # near 0 and p - 1, where w^2 (p - 1) is largest, every row checked
+    # against the forms in Python integers.  With every structure constant
+    # p - 1, Q_j(x) = -(x_0 + x_1 + x_2)^2, so the tile holds the 24 hits
+    # (1, a, -1 - a) with lam = 0, and (1, 1, 1) with lam = -9.
+    import numpy as np
+
+    from quadalg import ffenum
+
+    F = PrimeField(p)
+    assert ffenum._suffix_size(p, 3, 1) == (1, False)
+    prefixes, suffixes = np.r_[0:12, p - 12 : p], np.r_[0:16, p - 16 : p]
+
+    def one_tile(F, ops, n, m, whole):
+        yield ffenum._tile(F, ops, n, m, whole, prefixes, suffixes, False)
+
+    monkeypatch.setattr(ffenum, "_tiles", one_tile)
+    rng = random.Random(p)
+    systems = [build_system(StructureTensor(F, [[[p - 1] * 3] * 3] * 3))]
+    systems += [build_system(random_structure_tensor(F, 3, rng, commutative=c)) for c in (True, False)]
+    for S, planted in zip(systems, (25, None, None)):
+        forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
+        want = []
+        for x in itertools.product([1], prefixes.tolist(), suffixes.tolist()):
+            vals = [sum(c * x[i] * x[l] for (i, l), c in form.items() if l < 3) % p for form in forms_idx]
+            if all(v == vals[0] * xj % p for v, xj in zip(vals, x)):
+                want.append([*x, vals[0]])
+        assert planted in (None, len(want))
+        assert ffenum.solve_system(F, 3, forms_idx).tolist() == want
 
 
 def test_digit_matrix_refuses_sums_past_2_53():
@@ -432,20 +539,40 @@ def test_digit_matrix_refuses_sums_past_2_53():
 
 
 def _sweep_width(S, digits):
-    """The int64s a direction takes in the sweep's largest temporary: the digits
-    (1 on tables) times the lam-free pairs of the forms, or n if that is more."""
-    F = S.field
-    pairs = {key for form in S.forms for key in form if S.n not in key}
-    return (getattr(F, "degree", 1) if digits else 1) * max(len(pairs), S.n)
+    """The int64s a row takes in the sweep's tile temporaries: its digits (1 on
+    tables) times the n forms, so a budget of rows * width holds rows rows."""
+    return (getattr(S.field, "degree", 1) if digits else 1) * S.n
 
 
 def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
-    # element budgets that give 1-row chunks, chunks that end exactly on a
-    # lead-block boundary and chunks that end inside one, over GF(5) (digits
-    # at k = 1), GF(9) and GF(27) on tables, and GF(9) and GF(25) forced onto
-    # the digit route; lead blocks hold q^2, q and 1 directions at n = 3
+    # element budgets from 1 row up to the whole sweep, over GF(5) (digits at
+    # k = 1), GF(9) and GF(27) on tables, and GF(9) and GF(25) forced onto
+    # the digit route.  The budget also sets the suffix length m, so the
+    # tiles cover every shape: one prefix against the whole suffix table or
+    # against a block of it (tiles that end inside the suffix block), runs
+    # of prefixes that end on a boundary of the prefix lead blocks and inside
+    # one, and the zero prefix's rows alone in the last tile or sharing it
+    import numpy as np
+
     from quadalg import ffenum
 
+    tile, seen = ffenum._tile, set()
+
+    def spy(F, ops, n, m, whole, prefixes, suffixes, zero):
+        q, total = F.order, (F.order ** (n - m) - 1) // (F.order - 1)
+        ends = np.cumsum(q ** np.arange(n - m - 1, -1, -1)).tolist()
+        if len(prefixes):
+            seen.add("one prefix" if len(prefixes) == 1 else "prefixes")
+            end = int(prefixes[-1]) + 1
+            if end < total:
+                seen.add("on a lead boundary" if end in ends else "inside a lead block")
+        if suffixes is not None and 0 < len(suffixes) < q**m:
+            seen.add("suffix block")
+        if zero:
+            seen.add("zero prefix sharing" if len(prefixes) else "zero prefix alone")
+        return tile(F, ops, n, m, whole, prefixes, suffixes, zero)
+
+    monkeypatch.setattr(ffenum, "_tile", spy)
     rng = random.Random(109)
     cases = [(5, 3, True), (9, 2, False), (9, 3, False), (27, 2, False)]
     cases += [(9, 2, True), (9, 3, True), (25, 2, True)]
@@ -454,13 +581,16 @@ def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
         monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0 if digits else 1 << 16)
         S = build_system(random_structure_tensor(F, n, rng, commutative=False))
         systems = [build_system(zero_algebra(F, n)), S, perturb_system(S, *draw_perturbation(F, n, rng))]
-        # rows per chunk: 1; q, so that chunks end on every boundary; q + 2 and
-        # q - 1, so that they end inside blocks; q^2, the first block at n = 3
         for S in systems:
             ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
-            for rows in sorted({1, q, q + 2, q - 1, q ** (n - 1)}):
+            for rows in sorted({1, q - 1, q, q + 2, 2 * q + 2, q**2, q**2 + q + 2, q ** (n - 1) + 2 * q}):
                 monkeypatch.setattr(ffenum, "_CHUNK", rows * _sweep_width(S, digits))
+                ffenum._single_tile.cache_clear()
                 assert [s.coords for s in solve_exhaustive(S)] == ref, (q, n, digits, rows)
+    assert seen == {
+        "one prefix", "prefixes", "on a lead boundary", "inside a lead block", "suffix block",
+        "zero prefix sharing", "zero prefix alone",
+    }
 
 
 def _verifier_accepts(S, rows):
