@@ -77,6 +77,8 @@ def parse_field_spec(spec):
             return field_from_json(json.loads(spec))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad field JSON: {exc}") from exc
+    if (q := _alias_order(spec)) is not None:
+        return finite_field(q)
     low = spec.lower()
     try:
         if low in ("q", "qq", "rationals"):
@@ -87,11 +89,6 @@ def parse_field_spec(spec):
             return Reals(float(low.split(":", 1)[1]))
         if low.startswith("prime:"):
             return PrimeField(int(low.split(":", 1)[1]))
-        if low.startswith("gf:"):
-            return finite_field(int(low.split(":", 1)[1]))
-        m = re.fullmatch(r"g?f([0-9]+)", low)
-        if m:
-            return finite_field(int(m.group(1)))
         if low.startswith("ext:"):
             _, p, coeffs = low.split(":", 2)
             return ExtensionField(PrimeField(int(p)), [int(c) for c in coeffs.split(",")])
@@ -101,6 +98,19 @@ def parse_field_spec(spec):
     except (ValueError, ReducibleModulus) as exc:
         raise ParseError(f"bad field spec {spec!r}: {exc}") from exc
     raise ParseError(f"unrecognized field spec {spec!r}")
+
+
+def _alias_order(spec):
+    """The prime power q that a gf:q or F<q> alias names; None for any other spec."""
+    m = re.fullmatch(r"gf:(.*)|g?f([0-9]+)", spec.strip().lower())
+    if m is None:
+        return None
+    try:
+        q = int(m.group(m.lastindex))
+        prime_power(q)
+    except ValueError as exc:
+        raise ParseError(f"bad field spec {spec!r}: {exc}") from exc
+    return q
 
 
 def parse_int_list(s):
@@ -158,19 +168,19 @@ def cmd_check(args):
         report["absolute_nilpotent"] = True
         _emit(report, args.out)
         return 0
-    lam = alg.eigencheck(A, x)
+    # the flags read x*x = x and x*x = 0 at the field's tolerance, as the real
+    # searches do; eigencheck's pivot division only names any other eigenvalue
+    if alg.is_idempotent(A, x):
+        report["idempotent"], lam, kind = True, F.one(), "idempotent"
+    elif alg.is_absolute_nilpotent(A, x):
+        report["absolute_nilpotent"], lam, kind = True, F.zero(), "absolute nilpotent"
+    else:
+        lam, kind = alg.eigencheck(A, x), "eigenvector"
     if lam is None:
         print("no eigenvalue")
     else:
         report["eigenvalue"] = F.scalar_to_json(lam)
-        if F.is_one(lam):
-            report["idempotent"] = True
-            print(f"idempotent, lambda={_render(F, lam)}")
-        elif F.is_zero(lam):
-            report["absolute_nilpotent"] = True
-            print(f"absolute nilpotent, lambda={_render(F, lam)}")
-        else:
-            print(f"eigenvector, lambda={_render(F, lam)}")
+        print(f"{kind}, lambda={_render(F, lam)}")
     _emit(report, args.out)
     return 0
 
@@ -271,14 +281,9 @@ def _check_witness_budget(q):
 
 
 def cmd_witness(args):
-    m = re.fullmatch(r"(?:gf:|g?f)([0-9]+)", args.field.strip().lower())
-    if m:
+    if (q := _alias_order(args.field)) is not None:
         # before GF(q) is built: certifying a large modulus takes seconds
-        try:
-            prime_power(int(m.group(1)))
-        except ValueError as exc:
-            raise ParseError(f"bad field spec {args.field!r}: {exc}") from exc
-        _check_witness_budget(int(m.group(1)))
+        _check_witness_budget(q)
     F = parse_field_spec(args.field)
     if isinstance(F, Rationals):
         ints = [-2, 0, 0, 1]

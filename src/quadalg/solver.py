@@ -36,7 +36,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import ffenum
-from .algebra import StructureTensor, eigencheck, is_idempotent
+from .algebra import StructureTensor, eigencheck, is_absolute_nilpotent, is_idempotent
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -57,7 +57,6 @@ from .fields import (
 )
 
 MAX_NEWTON_ITER = 100  # Newton steps per restart of the real engine
-POLISH_STEPS = 3  # Newton steps that bring a rescaled real idempotent within tolerance
 
 
 class SolveConfig(namedtuple("SolveConfig", "residual_tol max_restarts k_max seed")):
@@ -453,14 +452,15 @@ def solve_exact_dim2(A):
 # without loading it.
 
 
-def _unit_eigenpairs(A, cfg, seed, lam=None):
+def _unit_eigenpairs(A, cfg, seed, lam=None, accept=None):
     """Unit eigenpairs (u, mu, residual) of a real algebra, by multistart damped Newton.
 
     Solves Vu - mu*u = 0, |u|^2 = 1 from unit starts drawn with ``seed``; a
     restart yields at most one pair, once |Vu - mu*u| <= ``cfg.residual_tol``
-    at the normalized iterate.  With ``lam=None`` the unknowns are (u, mu),
-    mu seeded as <Vu, u>; otherwise mu is pinned to ``lam`` and the n+1
-    equations in u are solved by least squares.
+    at the normalized iterate and ``accept(u, mu)``, if given, holds; until
+    then it keeps taking Newton steps.  With ``lam=None`` the unknowns are
+    (u, mu), mu seeded as <Vu, u>; otherwise mu is pinned to ``lam`` and the
+    n+1 equations in u are solved by least squares.
     """
     import numpy as np
 
@@ -506,7 +506,7 @@ def _unit_eigenpairs(A, cfg, seed, lam=None):
                 u = z[:n] / nrm
                 mu = u @ square(u) if free else lam
                 res = np.linalg.norm(shifted(u, mu))
-                if res <= cfg.residual_tol:
+                if res <= cfg.residual_tol and (accept is None or accept(u, mu)):
                     yield u, mu, res
                     break
             H = residual(z)
@@ -566,41 +566,34 @@ def unit_eigenpair(A, sol):
 def find_idempotent_real(A, cfg=None):
     """Search for x with x*x = x; returns the element or None (not a nonexistence proof).
 
-    A unit pair Vu = mu*u with 0 < |mu| <= 1e3 rescales to x = u/mu, an
-    idempotent up to |Vu - mu*u| / mu^2.  Up to ``POLISH_STEPS`` Newton steps
-    on x*x - x = 0 (Jacobian L_x + R_x - I) then bring it within the field's
-    tolerance; the first x that ``algebra.is_idempotent`` accepts is returned,
-    and a pair whose x it still rejects is passed over.
+    The unit search accepts a pair Vu = mu*u once 0 < |mu| <= 1e3 and
+    ``algebra.is_idempotent`` accepts x = u/mu at the field's tolerance.
     """
-    import numpy as np
-
     cfg = cfg if cfg is not None else SolveConfig()
-    T = np.array(A.alpha, dtype=float)
-    J2 = T + T.transpose(1, 0, 2)  # contracted with x: the matrix of y -> x*y + y*x
-    eye = np.eye(A.dim)
-    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1):
-        if not 0 < abs(mu) <= 1e3:
-            continue
-        x = u / mu
-        for step in range(POLISH_STEPS + 1):
-            idem = tuple(float(c) for c in x)
-            if is_idempotent(A, idem):
-                return idem
-            if step == POLISH_STEPS:
-                break
-            jac = np.einsum("ikj,i->jk", J2, x) - eye
-            try:
-                x = x - np.linalg.solve(jac, np.einsum("ikj,i,k->j", T, x, x) - x)
-            except np.linalg.LinAlgError:
-                break
+
+    def rescaled(u, mu):
+        return tuple(map(float, u / mu))
+
+    def accept(u, mu):
+        return 0 < abs(mu) <= 1e3 and is_idempotent(A, rescaled(u, mu))
+
+    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1, accept=accept):
+        return rescaled(u, mu)
     return None
 
 
 def find_absolute_nilpotent_real(A, cfg=None):
-    """Search for unit x with x*x = 0 (the unit search with lam pinned to 0)."""
+    """Search for unit x with x*x = 0 (the unit search with lam pinned to 0).
+
+    The search accepts u once ``algebra.is_absolute_nilpotent`` does.
+    """
     cfg = cfg if cfg is not None else SolveConfig()
-    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, lam=0.0):
-        return tuple(float(c) for c in u)
+
+    def accept(u, _):
+        return is_absolute_nilpotent(A, tuple(map(float, u)))
+
+    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, lam=0.0, accept=accept):
+        return tuple(map(float, u))
     return None
 
 

@@ -279,6 +279,34 @@ def test_spectrum_nonempty_exits_zero(tmp_path, capsys):
     assert "AllNonzero" in capsys.readouterr().out
 
 
+def test_spectrum_witnesses_pass_check(tmp_path, capsys, planted_nilpotent):
+    # spectrum reports what check accepts.  Over the reals both now read
+    # x*x = x and x*x = 0 at the file's tol: the idempotent of "2:True:0" has
+    # a pivot coordinate of 0.38, and check's eigenvalue division rejected it;
+    # the planted nilpotents are ones the search returned with a coordinate
+    # of x*x past tol, when it accepted every pair within residual_tol
+    def e11(F):  # x*x = (x1^2, 0)
+        one, zero = F.one(), F.zero()
+        return StructureTensor(F, [[[one, zero], [zero, zero]], [[zero, zero], [zero, zero]]])
+
+    cases = [
+        (random_structure_tensor(Reals(), 2, random.Random("2:True:0"), commutative=True), ("idempotent",)),
+        *((planted_nilpotent(*key), ("nilpotent",)) for key in ((2, True, 7), (4, False, 6), (5, True, 0))),
+        (e11(PrimeField(5)), ("idempotent", "nilpotent")),
+        (e11(Rationals()), ("idempotent", "nilpotent")),
+    ]
+    flags = {"idempotent": "idempotent", "nilpotent": "absolute_nilpotent"}
+    for A, expected in cases:
+        path = write_algebra(tmp_path, A)
+        main(["spectrum", path, "--out", str(tmp_path / "spec.json")])
+        rep = formats.load_json(tmp_path / "spec.json")
+        for key in expected:
+            assert rep[key] is not None, (A.field, key)
+            assert main(["check", path, json.dumps(rep[key]), "--out", str(tmp_path / "check.json")]) == 0
+            assert formats.load_json(tmp_path / "check.json")[flags[key]] is True, (A.field, key, rep[key])
+    capsys.readouterr()
+
+
 def test_spectrum_budget_exceeded_exit_6(tmp_path, capsys):
     # |P^15(F_3)| + 1 = 21,523,361 points: the sweep is refused before it starts
     path = tmp_path / "zero16.json"

@@ -28,6 +28,7 @@ from quadalg import (
     eigencheck,
     finite_field,
     genericity_probe,
+    is_absolute_nilpotent,
     is_idempotent,
     perturb_system,
     polynomial_roots,
@@ -870,7 +871,7 @@ def test_real_engine_zero_algebra():
 def test_real_idempotents_pass_the_field_check():
     # x = u/mu off a unit pair misses x*x = x by |Vu - mu*u| / mu^2, past the
     # field's per-coordinate tolerance for small |mu|: 7 of these 64 did
-    # before the Newton polish
+    # when the search accepted every pair within residual_tol
     found = 0
     for n in range(2, 6):
         for comm in (True, False):
@@ -881,6 +882,18 @@ def test_real_idempotents_pass_the_field_check():
                     found += 1
                     assert is_idempotent(A, x), (n, comm, s)
     assert found >= 57
+
+
+def test_real_nilpotents_pass_the_field_check(planted_nilpotent):
+    # |Vu| <= residual_tol bounds the 2-norm of x*x, not each coordinate by
+    # the field's tolerance: 17 of these 100 missed x*x = 0 when the search
+    # accepted every pair within residual_tol
+    for n in range(2, 7):
+        for comm in (True, False):
+            for s in range(10):
+                A = planted_nilpotent(n, comm, s)
+                x = solver.find_absolute_nilpotent_real(A)
+                assert x is not None and is_absolute_nilpotent(A, x), (n, comm, s)
 
 
 def test_real_engine_lambda_is_rayleigh_value():
