@@ -16,17 +16,15 @@ about ``_CHUNK`` int64s in its largest temporary.  The directions whose lead
 lies in w (the zero prefix) are the directions of P^(m-1), swept last.  The
 suffixes' digits and pair products are tabled once per field and m when they
 fit the budget, so no row is divided into digits; a one-coordinate suffix
-over a larger field is built block by block.  GF(p^k) of order up to 2^16 is
-evaluated term by term on discrete-log tables built once per field
-(``_ExtOps``).  Every other field works on base-p digits (``digit_ops``):
-since Q_j(u + w) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's
-form values take one float64 matmul of each prefix's matrix of
-w -> B(u, w) + Q(u) against the suffix digits, plus Q(w), one matmul per
-suffix block.  Every partial sum of these matmuls is an integer below 2^53,
-so it is exact whatever order BLAS adds in (the method of FFLAS-FFPACK:
-Dumas, Giorgi and Pernet, ACM TOMS 2008), and a row solves when each
-residual Q_j(x) - lam*x_j is a multiple of p.  The solver verifies the rows
-on digit arrays, which never read the tables.
+over a larger field is built block by block.  Every field, GF(p) and
+GF(p^k) alike, works on base-p digits (``digit_ops``): since Q_j(u + w) =
+Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form values take one
+float64 matmul of each prefix's matrix of w -> B(u, w) + Q(u) against the
+suffix digits, plus Q(w), one matmul per suffix block.  Every partial sum of
+these matmuls is an integer below 2^53, so it is exact whatever order BLAS
+adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS
+2008), and a row solves when each residual Q_j(x) - lam*x_j is a multiple
+of p.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -35,75 +33,16 @@ the solver module, which imports it) does not load numpy.
 from functools import lru_cache
 from itertools import chain
 
-from .fields import PrimeField, _digits, _divisors, _ppowmod, _ptrim, is_prime
+from .fields import PrimeField
 
 # Element budget: about the most int64s a tile's temporaries hold (digits x forms x
 # rows) and a suffix table holds (it sets the suffix length m)
 _CHUNK = 1 << 15
-# Largest order of a GF(p^k) swept on discrete-log tables (``_ExtOps``)
-_TABLE_LIMIT = 1 << 16
-
-
-class _ExtOps:
-    """Discrete-log arithmetic of GF(p^k) on element indices.
-
-    With g the first element in index order whose multiplicative order is
-    n = q - 1, and log 0 stored as 2n:
-
-    * ``exp[i]``  -- the index of g^(i mod n) for 0 <= i < 2n, and 0 for
-      2n <= i <= 4n, so ``exp[log[a] + log[b]]`` is the index of a*b for
-      every a and b, zero included;
-    * ``log[a]``  -- the i < n with g^i = a, or 2n for a = 0;
-    * ``zech[i]`` -- Zech's logarithm Z(i), with 1 + g^i = g^Z(i), or 2n
-      where 1 + g^i = 0, so a + b = g^(log a + Z(log b - log a)) for nonzero
-      a and b, the difference taken mod n (Lidl and Niederreiter, *Finite
-      Fields*).
-
-    The three are C-int arrays, about 1.6 MB at q = 2^16.
-    """
-
-    def __init__(self, F):
-        import numpy as np
-
-        base, p, k, q = F.base, F.base.p, F.degree, F.order
-        n = q - 1
-        # g^(n/r) != 1 for every prime r dividing n
-        primes = [r for r in _divisors(n) if is_prime(r)]
-        for cand in range(1, q):
-            g = _ptrim(base, _digits(cand, p, k))
-            if all(_ppowmod(base, g, n // r, F.modulus) != [1] for r in primes):
-                break
-        # M maps the digits of y to those of g*y
-        M = digit_ops(F).linear(np.reshape(_digits(cand, p, k), (k, 1, 1)))
-        # P holds the digits of g^0 .. g^(m-1) as columns and M multiplies by
-        # g^m, so each pass doubles m
-        P = np.eye(k, 1)
-        while P.shape[1] < n:
-            P = np.concatenate([P, M @ P % p], axis=1)
-            M = M @ M % p
-        powers = (p ** np.arange(k) @ P[:, :n]).astype(np.intc)
-        self.n = n
-        self.exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, np.intc)])
-        self.log = np.full(q, 2 * n, np.intc)
-        self.log[powers] = np.arange(n, dtype=np.intc)
-        # 1 + a adds one to the lowest digit of a's index
-        self.zech = self.log[powers - powers % p + (powers + 1) % p]
-
-    def mul(self, a, b):
-        # log 0 points past the powers of g, where exp reads 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def add(self, a, b):
-        import numpy as np
-
-        la, lb = self.log[a], self.log[b]
-        out = self.exp[la + self.zech[(lb - la) % self.n]]
-        return np.where(a == 0, b, np.where(b == 0, a, out))
 
 
 class _PolyOps:
     """GF(p^k) on the k base-p digits of each index, digit s along axis 0, from
-    the modulus f alone (no tables); GF(p) is the case k = 1, f = t.
+    the modulus f alone; GF(p) is the case k = 1, f = t.
 
     Two digit arrays multiply by a schoolbook product folded back by the
     residues of t^(k+i).  Multiplying by a constant a = sum of a_u t^u is the
@@ -192,20 +131,22 @@ class _PolyOps:
 
 @lru_cache(maxsize=32)
 def digit_ops(F):
-    """The table-free digit arithmetic of F, GF(p) included (k = 1)."""
+    """The digit arithmetic of F, GF(p) included (k = 1), built once per field."""
     return _PolyOps(F)
 
 
 @lru_cache(maxsize=32)
-def _tables(F):
-    return _ExtOps(F)
+def frobenius(F, d):
+    """The k x k int64 matrix over GF(p) of y -> y^(p^d) on F's digits, built once
+    per field and d: column s, the digits of t^s, raised to the p^d by squaring."""
+    import numpy as np
 
-
-def _ops_cached(F):
-    """The sweep's arithmetic, built once per field: tables up to ``_TABLE_LIMIT``, else digits."""
-    if isinstance(F, PrimeField) or F.order > _TABLE_LIMIT:
-        return digit_ops(F)
-    return _tables(F)
+    D = digit_ops(F)
+    # M starts as the digits of 1 in every column, y as those of t^s
+    M, y, e = np.eye(D.k, 1, dtype=np.int64).repeat(D.k, axis=1), np.eye(D.k, dtype=np.int64), D.p**d
+    while e:
+        M, y, e = (D.dmul(M, y) if e & 1 else M), D.dmul(y, y), e >> 1
+    return M
 
 
 @lru_cache(maxsize=16)
@@ -236,10 +177,9 @@ def _narrow(a, top):
 
 def _suffix_rows(F, ops, m, v):
     """The suffixes w in F^m of index v (w_0 most significant, base q): their
-    digits (k, m, len) and, on digits, the matmul operand of B(u, w) + Q(u)
-    (the digits with a constant 1 appended as coordinate m) and that of Q(w)
-    (the pair products w_i*w_l, i <= l, in ``_pairs`` order), all stored
-    narrow (``_narrow``).
+    digits (k, m, len), the matmul operand of B(u, w) + Q(u) (the digits with
+    a constant 1 appended as coordinate m) and that of Q(w) (the pair products
+    w_i*w_l, i <= l, in ``_pairs`` order), all stored narrow (``_narrow``).
 
     At k = 1 the products stay unreduced while pairs*(p-1)^3 + (m+1)*(p-1)^2
     + p < 2^53, so that every form value is an integer below 2^53 - p: Q(w)
@@ -250,12 +190,9 @@ def _suffix_rows(F, ops, m, v):
     208,057.  Otherwise, and above k = 1, the products are reduced mod p."""
     import numpy as np
 
-    q = F.order
+    q, k, p = F.order, ops.k, ops.p
     x = v[None] if m == 1 else v // q ** np.arange(m - 1, -1, -1)[:, None] % q
-    if not isinstance(ops, _PolyOps):
-        return _narrow(x, q - 1)[None], None, None
-    k, p = ops.k, ops.p
-    d = x[None] if k == 1 else ops.digits(x)
+    d = ops.digits(x)
     left, right = _pairs(m)
     if k > 1:
         prods = ops.dmul(d[:, left], d[:, right])
@@ -285,12 +222,11 @@ def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
     suffixes of index ``suffixes`` (None: the whole table), then the zero
     prefix's rows if ``zero``.  Returns the suffix block, the prefix count,
     the float64 matmul operand of the prefixes (the digits of u and of its
-    pair products; None on tables), and each row's digits (k, n, rows),
-    stored narrow, and the flat index of its lead in an (n, rows) array."""
+    pair products), each row's digits (k, n, rows), stored narrow, and the
+    flat index of its lead in an (n, rows) array."""
     import numpy as np
 
-    q, digits = F.order, isinstance(ops, _PolyOps)
-    k, nu = (ops.k if digits else 1), n - m
+    q, k, nu = F.order, ops.k, n - m
     table, zero_rows, zero_lead = _suffix_tables(F, ops, m, whole)
     blk = table if suffixes is None else _suffix_rows(F, ops, m, suffixes)
     # place[i] = q^(nu-1-i) is the size of lead block i and the place of u_i,
@@ -299,7 +235,7 @@ def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
     ends = np.cumsum(place)
     lead = np.searchsorted(ends, prefixes, side="right")
     xu = (prefixes + 2 * place[lead] - ends[lead]) // place[:, None] % q
-    du = ops.digits(xu) if digits and k > 1 else xu[None]
+    du = ops.digits(xu)
     S, V = len(prefixes), blk[0].shape[2]
     u, w = np.broadcast_to(du[..., None], (k, nu, S, V)), np.broadcast_to(blk[0][:, :, None], (k, m, S, V))
     x = np.concatenate([u, w], axis=1, dtype=blk[0].dtype).reshape(k, n, S * V)
@@ -307,11 +243,9 @@ def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
     if zero:
         tail = np.concatenate([np.zeros((k, nu, len(zero_lead)), x.dtype), zero_rows[0]], axis=1)
         x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + zero_lead])
-    y = None
-    if digits:
-        left, right = _pairs(nu)
-        y = np.concatenate([du, ops.dmul(du[:, left], du[:, right])], axis=1)
-        y = y.reshape(k * (nu + len(left)), S).astype(np.float64)
+    left, right = _pairs(nu)
+    y = np.concatenate([du, ops.dmul(du[:, left], du[:, right])], axis=1)
+    y = y.reshape(k * (nu + len(left)), S).astype(np.float64)
     return blk, S, y, x, _narrow(lead * len(lead) + np.arange(len(lead)), n * len(lead))
 
 
@@ -330,7 +264,7 @@ def _tiles(F, ops, n, m, whole):
     they fit, else they follow alone."""
     import numpy as np
 
-    q, k = F.order, getattr(ops, "k", 1)
+    q, k = F.order, ops.k
     total, V, Z = (q ** (n - m) - 1) // (q - 1), q**m, len(_suffix_tables(F, ops, m, whole)[2])
     rows = max(1, _CHUNK // (k * n))
     pstep, vstep = (max(1, rows // V), V) if whole else (1, rows)
@@ -353,85 +287,64 @@ def solve_system(F, n, forms_idx):
     The rows form an (m, n+1) int64 array, one row (x_1, ..., x_n, lam) per
     solution.  ``forms_idx[j]`` maps variable pairs to coefficient indices and
     must have the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j
-    (the keys without variable n) is read.
-
-    Every direction is x = u + w, w its last m coordinates (``_suffix_size``),
-    so Q_j(x) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear.  On digits a
-    tile of prefixes u against a block of suffixes w (``_tiles``) takes one
-    float64 matmul of the prefixes' matrices of w -> B(u, w) + Q(u) against
-    the suffix digits, plus Q(w), computed once per block.  The table route
-    evaluates the forms term by term on the same rows.
+    (the keys without variable n) is read.  The sweep, tile by tile
+    (``_tiles``), is the one the module docstring describes.
     """
     import numpy as np
 
-    ops = _ops_cached(F)
-    digits = isinstance(ops, _PolyOps)
-    k = ops.k if digits else 1
+    ops = digit_ops(F)
+    k = ops.k
     m, whole = _suffix_size(F.order, n, k)
     nu = n - m
     table, zero_rows, _ = _suffix_tables(F, ops, m, whole)
-    if digits:
-        # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l
-        # in Q_j (keys with lam, variable n, land at l = n and are not read)
-        J = np.repeat(np.arange(len(forms_idx)), [len(form) for form in forms_idx])
-        keys = np.fromiter(chain.from_iterable(chain.from_iterable(forms_idx)), np.int64, 2 * len(J))
-        I, L = keys.reshape(-1, 2).T
-        c = np.fromiter(chain.from_iterable(form.values() for form in forms_idx), np.int64, len(J))
-        G = np.zeros((k, n, n + 1, n + 1), dtype=np.int64)
-        np.add.at(G, (slice(None), J, np.minimum(I, L), np.maximum(I, L)), ops.digits(c))
-        (lu, ru), (lw, rw) = _pairs(nu), _pairs(m)
-        Ww = ops.linear(G[:, :, nu + lw, nu + rw])
-        # Wu maps a prefix operand (u, its pair products) to the coefficients
-        # of w_0 .. w_{m-1} and of the constant 1 in each Q_j(u + w)
-        C = np.zeros((k, n, m + 1, nu + len(lu)), dtype=np.int64)
-        C[:, :, :m, :nu] = G[:, :, :nu, nu:n].transpose(0, 1, 3, 2)
-        C[:, :, m, nu:] = G[:, :, lu, ru]
-        Wu = ops.linear(C.reshape(k, n * (m + 1), -1))
+    # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l in
+    # Q_j (keys with lam, variable n, land at l = n and are not read)
+    J = np.repeat(np.arange(len(forms_idx)), [len(form) for form in forms_idx])
+    keys = np.fromiter(chain.from_iterable(chain.from_iterable(forms_idx)), np.int64, 2 * len(J))
+    I, L = keys.reshape(-1, 2).T
+    c = np.fromiter(chain.from_iterable(form.values() for form in forms_idx), np.int64, len(J))
+    G = np.zeros((k, n, n + 1, n + 1), dtype=np.int64)
+    np.add.at(G, (slice(None), J, np.minimum(I, L), np.maximum(I, L)), ops.digits(c))
+    (lu, ru), (lw, rw) = _pairs(nu), _pairs(m)
+    Ww = ops.linear(G[:, :, nu + lw, nu + rw])
+    # Wu maps a prefix operand (u, its pair products) to the coefficients of
+    # w_0 .. w_{m-1} and of the constant 1 in each Q_j(u + w)
+    C = np.zeros((k, n, m + 1, nu + len(lu)), dtype=np.int64)
+    C[:, :, :m, :nu] = G[:, :, :nu, nu:n].transpose(0, 1, 3, 2)
+    C[:, :, m, nu:] = G[:, :, lu, ru]
+    Wu = ops.linear(C.reshape(k, n * (m + 1), -1))
 
-        def quad(blk):
-            """Q(w) on a suffix block, (k, n, len), unreduced."""
-            return (Ww @ blk[2].reshape(Ww.shape[1], -1).astype(np.float64)).reshape(k, n, -1)
+    def quad(blk):
+        """Q(w) on a suffix block, (k, n, len), unreduced."""
+        return (Ww @ blk[2].reshape(Ww.shape[1], -1).astype(np.float64)).reshape(k, n, -1)
 
-        Qw = quad(table) if whole else None
-    else:
-        terms = [(j, key, c) for j, form in enumerate(forms_idx) for key, c in form.items() if n not in key]
+    Qw = quad(table) if whole else None
     blocks = [np.zeros((0, n + 1), dtype=np.int64)]
     for blk, S, y, x, at in _tiles(F, ops, n, m, whole):
         R, V = x.shape[2], blk[0].shape[2]
-        if digits:
-            vals = np.empty((k, n, R))
-            if S:
-                TQ = (Wu @ y).astype(np.int64).reshape(k, n, m + 1, S).transpose(0, 1, 3, 2)
-                L = ops.linear(TQ.reshape(k, n * S, m + 1)).reshape(k * n, S, k * (m + 1))
-                main = vals[:, :, : S * V].reshape(k * n, S, V)
-                np.matmul(L, blk[1].reshape(k * (m + 1), V).astype(np.float64), out=main)
-                main += (Qw if whole else quad(blk)).reshape(k * n, 1, V)
-            if R > S * V:
-                vals[:, :, S * V :] = quad(zero_rows)
-        else:
-            prods = {key: ops.mul(x[0, key[0]], x[0, key[1]]) for key in {key for _, key, _ in terms}}
-            vals, last = np.zeros((1, n, R), dtype=np.int64), None
-            for j, key, c in terms:
-                term = ops.mul(c, prods[key])
-                vals[0, j] = ops.add(vals[0, j], term) if j == last else term
-                last = j
-        lam = vals.reshape(k, -1)[:, at]
-        if digits:
-            # each residual Q_j(x) - lam*x_j is an integer below 2^53, exact in
-            # float64, and a multiple of p exactly when p*rint(r/p) == r
-            lam = lam.astype(np.int64) % ops.p
-            t = ops.dmul(lam[:, None], x) if k > 1 else np.multiply(lam[:, None], x, dtype=np.float64)
-            vals -= t
-            t = np.multiply(vals, 1.0 / ops.p, out=t if k == 1 else None)
-            np.rint(t, out=t)
-            t *= ops.p
-            hit = (t == vals).reshape(k * n, R).all(axis=0)
-        else:
-            hit = (vals == ops.mul(lam[:, None], x)).reshape(n, R).all(axis=0)
+        vals = np.empty((k, n, R))
+        if S:
+            TQ = (Wu @ y).astype(np.int64).reshape(k, n, m + 1, S).transpose(0, 1, 3, 2)
+            L = ops.linear(TQ.reshape(k, n * S, m + 1)).reshape(k * n, S, k * (m + 1))
+            main = vals[:, :, : S * V].reshape(k * n, S, V)
+            np.matmul(L, blk[1].reshape(k * (m + 1), V).astype(np.float64), out=main)
+            main += (Qw if whole else quad(blk)).reshape(k * n, 1, V)
+        if R > S * V:
+            vals[:, :, S * V :] = quad(zero_rows)
+        # each residual Q_j(x) - lam*x_j is an integer below 2^53, exact in
+        # float64, and a multiple of p exactly when p*rint(r/p) == r
+        lam = vals.reshape(k, -1)[:, at].astype(np.int64) % ops.p
+        t = ops.dmul(lam[:, None], x) if k > 1 else np.multiply(lam[:, None], x, dtype=np.float64)
+        vals -= t
+        t = np.multiply(vals, 1.0 / ops.p, out=t if k == 1 else None)
+        np.rint(t, out=t)
+        t *= ops.p
+        hit = (t == vals).reshape(k * n, R).all(axis=0)
         if hit.any():
             h = np.flatnonzero(hit)
             xs, lam = x[:, :, h], lam[:, h]
             if k > 1:
                 xs, lam = np.tensordot(ops.place, xs, 1), ops.place @ lam
-            blocks.append(np.vstack([xs.reshape(n, -1), lam.reshape(1, -1)]).T)
-    return np.concatenate(blocks)
+            # every index is below q <= 10^7, so the blocks are kept as int32
+            blocks.append(np.vstack([xs.reshape(n, -1), lam.reshape(1, -1)], dtype=np.int32).T)
+    return np.concatenate(blocks, dtype=np.int64)

@@ -23,7 +23,8 @@ eigenvector.  Engines:
                                  idempotent and nilpotent searches read too
 * ``count_solutions_extension`` / ``genericity_probe`` -- distinct-point
                                  counts over extension fields F_{p^k} and the
-                                 bounded-count heuristic built on them
+                                 bounded-count heuristic, which reads k <=
+                                 k_max/2 off the larger sweeps by Frobenius
 
 Every solution a sweep returns is re-verified through an evaluation route
 independent of the engine that produced it: the finite-field rows on arrays,
@@ -266,7 +267,7 @@ def _verify_solutions(S, rows, E=None):
     The rows, an (m, n+1) int64 array, index E: S.field, or GF(p^k) over a
     prime S.field, whose low digit holds S's constants.  They are checked in
     chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays
-    (``ffenum.digit_ops``, from the modulus, never the sweep's tables).
+    (``ffenum.digit_ops``, from the modulus).
     Multiplying by a constant is a k x k matrix over GF(p), so the values
     x*x - lam*x are one float64 matmul of the reduced pair products x_i*x_l
     and lam*x_j against a matrix built from the structure tensor, exact since
@@ -610,6 +611,22 @@ def _as_system(A_or_S):
     raise TypeError("expected a StructureTensor or QuadraticSystem")
 
 
+def _subfield_count(E, rows, d):
+    """How many index rows over E = GF(p^k) lie over GF(p^d), d | k: those whose
+    x, lead 1, Frobenius^d fixes (Lidl and Niederreiter, *Finite Fields*, 2.3),
+    tested on digits ``ffenum._CHUNK`` int64s at a time.  GF(p) fixes all."""
+    if isinstance(E, PrimeField):
+        return len(rows)
+    D, M = ffenum.digit_ops(E), ffenum.frobenius(E, d)
+    step = max(1, ffenum._CHUNK // (D.k * rows.shape[1]))
+    fixed = 0
+    for start in range(0, len(rows), step):
+        x = D.digits(rows[start : start + step, :-1].T)  # (k, n, rows)
+        image = (M @ x.reshape(D.k, -1)).reshape(x.shape) % D.p
+        fixed += int((image == x).all(axis=(0, 1)).sum())
+    return fixed
+
+
 def count_solutions_extension(A_or_S, k):
     """Distinct projective solutions over F_{p^k} (multiplicities not counted),
     swept and verified on the GF(p) system as it stands (``_solution_rows``)."""
@@ -619,6 +636,7 @@ def count_solutions_extension(A_or_S, k):
         raise UnsupportedField("extension counting needs a prime base field")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
+    _check_budget(F.p**k, S.n)  # before GF(p^k) is built
     # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
     # every extension, so GF(p^k) is never built for it
     E = finite_field(F.p**k) if k > 1 and S.n > 1 else F
@@ -637,10 +655,13 @@ class ProbeReport(namedtuple("ProbeReport", "p counts verdict bound")):
 def genericity_probe(A_or_S, cfg=None):
     """Counts over F_{p^k}, k = 1..k_max, against the Bezout bound 2^n.
 
-    A count above 2^n anywhere indicates a positive-dimensional solution set;
-    counts bounded by 2^n throughout are consistent with finitely many
-    solutions over the closure.  Verdicts are heuristic, hence "Likely".
-    The budget is checked at k_max, the largest sweep, before any is run.
+    Only k in (k_max/2, k_max] is swept; each smaller d divides one such k, its
+    smallest multiple m, and counts the rows over F_{p^m} that Frobenius^d
+    fixes (``_subfield_count``).  A count above 2^n anywhere indicates a
+    positive-dimensional solution set; counts bounded by 2^n throughout are
+    consistent with finitely many solutions over the closure.  Verdicts are
+    heuristic, hence "Likely".  The budget is checked at k_max, the largest
+    sweep, before any is run.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     S = _as_system(A_or_S)
@@ -649,7 +670,14 @@ def genericity_probe(A_or_S, cfg=None):
         raise UnsupportedField("the genericity probe needs a prime base field")
     _check_budget(F.p**cfg.k_max, S.n)
     bound = 2**S.n
-    counts = {k: count_solutions_extension(S, k) for k in range(1, cfg.k_max + 1)}
+    half, counts = cfg.k_max // 2, dict.fromkeys(range(1, cfg.k_max + 1))
+    for k in range(half + 1, cfg.k_max + 1):
+        E = finite_field(F.p**k) if k > 1 and S.n > 1 else F
+        rows = _solution_rows(S, E)
+        counts[k] = len(rows) + 1
+        for d in range(1, half + 1):
+            if d * (half // d + 1) == k:
+                counts[d] = _subfield_count(E, rows, d) + 1
     verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
     if max(counts.values()) <= bound:
         verdict = GenericityVerdict.LIKELY_GENERIC

@@ -126,101 +126,49 @@ def test_scalar_index_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# the sweep's discrete-log tables (ffenum._ExtOps) against the polynomial route
+# the sweep's digit arithmetic (ffenum.digit_ops) against the polynomial route
 # ---------------------------------------------------------------------------
 
 
-def _check_tables(F, pairs):
-    """Log/antilog products and inverses, and Zech sums, on indices against
-    multiply-and-reduce, extended Euclid and digit-wise addition on tuples."""
+def _check_digit_ops(F, pairs):
+    """Digit products (``dmul``) and digit-wise sums of indices against
+    multiply-and-reduce and digit-wise addition on tuples, the index round
+    trip, and extended-Euclid inverses, whose digit product with x is 1."""
     import numpy as np
 
     from quadalg import ffenum
 
-    T, B, p = ffenum._ExtOps(F), F.base, F.base.p
-    a, b = (np.array([F.scalar_index(x) for x in xs]) for xs in zip(*pairs))
-    prods, sums = T.mul(a, b).tolist(), T.add(a, b).tolist()
-    invs = T.exp[T.n - T.log[a]].tolist()
-    for (x, y), xy, s, inv in zip(pairs, prods, sums, invs):
+    D, B, p = ffenum.digit_ops(F), F.base, F.base.p
+    a, b = (D.digits(np.array([F.scalar_index(x) for x in xs])) for xs in zip(*pairs))
+    prods, sums = (D.place @ D.dmul(a, b)).tolist(), (D.place @ ((a + b) % p)).tolist()
+    for (x, y), xy, s in zip(pairs, prods, sums):
         assert F.scalar_from_index(xy) == F.mul(x, y)
         assert F.scalar_from_index(s) == F.add(x, y) == tuple(B.add(u, v) for u, v in zip(x, y))
         assert F.sub(x, y) == tuple(B.sub(u, v) for u, v in zip(x, y))
         i = sum(c * p**e for e, c in enumerate(x))
         assert F.scalar_index(x) == i and F.scalar_from_index(i) == x
-        if F.is_zero(x):
-            with pytest.raises(DivisionByZero):
-                F.inv(x)
-        else:
-            assert F.scalar_from_index(inv) == F.inv(x)
+    units = [x for x, _ in pairs if not F.is_zero(x)]
+    for x in [x for x, _ in pairs if F.is_zero(x)]:
+        with pytest.raises(DivisionByZero):
+            F.inv(x)
+    x, inv = (D.digits(np.array([F.scalar_index(u) for u in us])) for us in (units, map(F.inv, units)))
+    assert (D.place @ D.dmul(x, inv) == 1).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 125])
-def test_log_tables_match_polynomial_route_on_every_pair(q):
+def test_digit_ops_match_polynomial_route_on_every_pair(q):
     F = finite_field(q)
     elems = list(F.elements())
-    _check_tables(F, list(itertools.product(elems, repeat=2)))
+    _check_digit_ops(F, list(itertools.product(elems, repeat=2)))
     assert [F.scalar_from_index(i) for i in range(q)] == elems
 
 
 @pytest.mark.parametrize("q", [625, 2**16])
-def test_log_tables_match_polynomial_route_on_seeded_pairs(q):
+def test_digit_ops_match_polynomial_route_on_seeded_pairs(q):
     F = finite_field(q)
     rng = random.Random(q)
     pairs = [(F.random(rng), F.random(rng)) for _ in range(10_000)]
-    _check_tables(F, pairs + [(F.zero(), F.one()), (F.one(), F.zero())])
-
-
-@pytest.mark.parametrize("q", [2**16, 3**10])
-def test_log_tables_build_fast(q):
-    from quadalg import ffenum
-
-    F = finite_field(q)
-    a, b = F.gen(), F.random(random.Random(q))
-    t0 = time.perf_counter()
-    T = ffenum._ExtOps(F)
-    prod = T.mul(F.scalar_index(a), F.scalar_index(b))
-    assert time.perf_counter() - t0 < 2.0
-    assert F.scalar_from_index(int(prod)) == F.mul(a, b)
-
-
-# sha256 of the exp, log and zech tables, each as little-endian 4-byte ints:
-# however g and its multiplication matrix are built, the tables must stay
-# bit for bit the same
-_TABLE_DIGESTS = {
-    4: "1beefd0cb4184774d59d3f367f81cf61ebd640a170fb4c607ac4cebad928abc3",
-    8: "029e3e3ca2c618c92f6648e60046fa851e09852f30fe32d53e8ee3b6afc33b00",
-    9: "4ca3492ce70ba4ef44ab0148ad223a2d22b2e1a185b8355e27d0c8308bfb6702",
-    25: "3038dfcfddd91c5c5e28a02a2a4624a8d571ea7ada394f985261f06f68b1739f",
-    27: "5f998717e81642cbd772a5e25115684acc0e7c6c616b7b61acf089c61bfb273e",
-    49: "ebe7db5290f2b0fd4ab93ccf4ab87b04189b1dbcfced4be5d99bb991be19ba28",
-    125: "c7a42370d3e6c7163e4f5e53a5adb55013dde9395a6f3c3c8349d91334ec44f5",
-    625: "f02ac4e87e52c1fc25c98f9e4dcbb88e7b70805d91473db2171143f7cb4f72e3",
-    3**9: "9ca7f322bf8b40163ec2ee1ed9da09e615bea8578de344fd120dfb1607b447d8",
-    2**16: "db544c5db65f3883cbaf507c9fd93e6d9c67a8bf6122ad5b3601e6fe831ac085",
-}
-
-
-@pytest.mark.parametrize("q", sorted(_TABLE_DIGESTS))
-def test_log_tables_are_bit_for_bit_frozen(q):
-    import hashlib
-
-    import numpy as np
-
-    from quadalg import ffenum
-
-    T = ffenum._ExtOps(finite_field(q))
-    digest = hashlib.sha256()
-    for table in (T.exp, T.log, T.zech):
-        assert table.dtype == np.intc
-        digest.update(table.astype("<i4").tobytes())
-    assert digest.hexdigest() == _TABLE_DIGESTS[q]
-
-
-def test_log_tables_are_compact():
-    from quadalg import ffenum
-
-    T = ffenum._ExtOps(finite_field(2**16))
-    assert T.exp.nbytes + T.log.nbytes + T.zech.nbytes < 4_000_000
+    _check_digit_ops(F, pairs + [(F.zero(), F.one()), (F.one(), F.zero())])
 
 
 def test_extension_arithmetic_does_not_import_numpy():
@@ -233,14 +181,6 @@ def test_extension_arithmetic_does_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
     assert out.stdout.strip() == "False"
-
-
-def test_no_log_tables_above_the_index_limit():
-    from quadalg import ffenum
-
-    assert isinstance(ffenum._ops_cached(finite_field(2**16)), ffenum._ExtOps)
-    F = finite_field(5**7)
-    assert ffenum._ops_cached(F) is ffenum.digit_ops(F)
 
 
 # ---------------------------------------------------------------------------

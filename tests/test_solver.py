@@ -270,45 +270,9 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
             assert [s.coords for s in solve_exhaustive(S)] == ref
 
 
-class _DigitRoute:
-    """Index sums and products through the digit ops (``digits``, ``dmul``),
-    to set beside the tables' ``add`` and ``mul``."""
-
-    def __init__(self, F):
-        from quadalg import ffenum
-
-        self.D = ffenum.digit_ops(F)
-
-    def add(self, a, b):
-        D = self.D
-        return D.place @ ((D.digits(a) + D.digits(b)) % D.p)
-
-    def mul(self, a, b):
-        D = self.D
-        return D.place @ D.dmul(D.digits(a), D.digits(b))
-
-
-@pytest.mark.parametrize("q", [9, 25])
-def test_ffenum_table_arithmetic_matches_scalar_route(q):
-    # the sweep's Zech addition and log/antilog products, and the digit ops'
-    # schoolbook products, on every pair of indices, against digit-wise
-    # addition and polynomial multiply-and-reduce on coefficient tuples
-    import numpy as np
-
-    from quadalg import ffenum
-
-    F = finite_field(q)
-    elems = list(F.elements())  # index order
-    a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
-    pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
-    for ops in (ffenum._ExtOps(F), _DigitRoute(F)):
-        assert [elems[i] for i in ops.add(a, b).tolist()] == [F.add(x, y) for x, y in pairs]
-        assert [elems[i] for i in ops.mul(a, b).tolist()] == [F.mul(x, y) for x, y in pairs]
-
-
 def test_sweep_leaves_the_scalar_field_unchanged():
-    # the sweep's tables belong to ffenum: a GF(625) sweep changes neither the
-    # field's state nor its scalar products and inverses
+    # the sweep's digit arithmetic belongs to ffenum: a GF(625) sweep changes
+    # neither the field's state nor its scalar products and inverses
     F = finite_field(625)
     state = dict(vars(F))
     rng = random.Random(71)
@@ -322,34 +286,13 @@ def test_sweep_leaves_the_scalar_field_unchanged():
     assert not hasattr(ExtensionField, "log_tables")
 
 
-@pytest.mark.parametrize("q", [625, 3**10])
-def test_ffenum_digit_arithmetic_matches_log_tables(q):
-    # the digit ops serve GF(p^k) above 2^16; below it both routes exist
-    import numpy as np
-
-    from quadalg import ffenum
-
-    F = finite_field(q)
-    tables, digits = ffenum._ExtOps(F), _DigitRoute(F)
-    if q == 625:
-        a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
-    else:
-        a, b = np.random.default_rng(67).integers(0, q, size=(2, 10**5))
-    for op in ("add", "mul"):
-        assert (getattr(digits, op)(a, b) == getattr(tables, op)(a, b)).all()
-        # the table route multiplies each coefficient, a plain int, on the left
-        for c in (0, 1, 2, int(a[-1]), q - 1):
-            assert (getattr(digits, op)(c, b) == getattr(tables, op)(c, b)).all()
-
-
 def test_scalar_sweep_matches_scalar_reference(monkeypatch):
-    # the digit ops serve GF(p^k) above 2^16; forcing them on small fields
-    # checks their sweep against the full P^n reference, with element budgets
-    # of 4 and 10 int64s: 1-row tiles (k*n int64s a row), one suffix of a
-    # block each, and the zero prefix's row alone
+    # the digit sweep over small extension fields against the full P^n
+    # reference, with element budgets of 4 and 10 int64s: 1-row tiles (k*n
+    # int64s a row), one suffix of a block each, and the zero prefix's row
+    # alone
     from quadalg import ffenum
 
-    monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0)
     rng = random.Random(61)
     cases = [(finite_field(q), 2, 1 << 16) for q in (9, 25, 27)]
     cases += [(finite_field(9), 2, 4), (finite_field(27), 2, 10), (finite_field(9), 3, 10)]
@@ -539,16 +482,15 @@ def test_digit_matrix_refuses_sums_past_2_53():
         assert D.linear(np.ones((D.k, 2, 6), dtype=np.int64)).dtype == np.float64
 
 
-def _sweep_width(S, digits):
-    """The int64s a row takes in the sweep's tile temporaries: its digits (1 on
-    tables) times the n forms, so a budget of rows * width holds rows rows."""
-    return (getattr(S.field, "degree", 1) if digits else 1) * S.n
+def _sweep_width(S):
+    """The int64s a row takes in the sweep's tile temporaries: its digits times
+    the n forms, so a budget of rows * width holds rows rows."""
+    return getattr(S.field, "degree", 1) * S.n
 
 
 def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
-    # element budgets from 1 row up to the whole sweep, over GF(5) (digits at
-    # k = 1), GF(9) and GF(27) on tables, and GF(9) and GF(25) forced onto
-    # the digit route.  The budget also sets the suffix length m, so the
+    # element budgets from 1 row up to the whole sweep, over GF(5) (one digit),
+    # GF(9), GF(25) and GF(27).  The budget also sets the suffix length m, so the
     # tiles cover every shape: one prefix against the whole suffix table or
     # against a block of it (tiles that end inside the suffix block), runs
     # of prefixes that end on a boundary of the prefix lead blocks and inside
@@ -575,19 +517,16 @@ def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
 
     monkeypatch.setattr(ffenum, "_tile", spy)
     rng = random.Random(109)
-    cases = [(5, 3, True), (9, 2, False), (9, 3, False), (27, 2, False)]
-    cases += [(9, 2, True), (9, 3, True), (25, 2, True)]
-    for q, n, digits in cases:
+    for q, n in [(5, 3), (9, 2), (9, 3), (27, 2), (25, 2)]:
         F = finite_field(q)
-        monkeypatch.setattr(ffenum, "_TABLE_LIMIT", 0 if digits else 1 << 16)
         S = build_system(random_structure_tensor(F, n, rng, commutative=False))
         systems = [build_system(zero_algebra(F, n)), S, perturb_system(S, *draw_perturbation(F, n, rng))]
         for S in systems:
             ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
             for rows in sorted({1, q - 1, q, q + 2, 2 * q + 2, q**2, q**2 + q + 2, q ** (n - 1) + 2 * q}):
-                monkeypatch.setattr(ffenum, "_CHUNK", rows * _sweep_width(S, digits))
+                monkeypatch.setattr(ffenum, "_CHUNK", rows * _sweep_width(S))
                 ffenum._single_tile.cache_clear()
-                assert [s.coords for s in solve_exhaustive(S)] == ref, (q, n, digits, rows)
+                assert [s.coords for s in solve_exhaustive(S)] == ref, (q, n, rows)
     assert seen == {
         "one prefix", "prefixes", "on a lead boundary", "inside a lead block", "suffix block",
         "zero prefix sharing", "zero prefix alone",
@@ -613,7 +552,7 @@ def _solves_via_tensor(S, row):
 def test_verifier_agrees_with_the_scalar_oracle(q):
     # the array verifier against residual_via_tensor, row by row, on the
     # sweep's rows (taken before any verification) and on random rows, over
-    # prime fields, log-table fields (25, 625) and a digit field (5^7)
+    # prime fields and extension fields (25, 625, 5^7)
     from quadalg import ffenum
 
     rng = random.Random(q)
@@ -980,9 +919,10 @@ def test_extension_counts_match_cubic_oracle_random():
 
 
 def test_extension_counts_are_galois_stable_above_2_16():
-    # over GF(5^7), beyond the log tables: the eigen-directions are the roots
-    # of a binary cubic over F_5, whose irreducible factors have degree <= 3,
-    # and neither 2 nor 3 divides 7, so no new direction appears
+    # over GF(5^7), whose one-coordinate suffixes are swept in blocks: the
+    # eigen-directions are the roots of a binary cubic over F_5, whose
+    # irreducible factors have degree <= 3, and neither 2 nor 3 divides 7, so
+    # no new direction appears
     rng = random.Random(83)
     A = random_structure_tensor(F5, 2, rng)
     B = random_structure_tensor(F5, 2, rng, commutative=False)
@@ -997,6 +937,18 @@ def test_extension_counts_are_galois_stable_above_2_16():
 def test_extension_counts_require_prime_base():
     with pytest.raises(UnsupportedField):
         count_solutions_extension(zero_algebra(finite_field(4), 2), 2)
+
+
+@pytest.mark.parametrize("k", [100, 150])
+def test_extension_count_checks_its_budget_before_building_the_field(k):
+    # |P^1(F_{3^k})| is far past the budget: the count refuses before it
+    # certifies a modulus of degree k, which took seconds
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        count_solutions_extension(zero_algebra(F3, 2), k)
+    assert time.perf_counter() - t0 < 0.25
 
 
 def _prime_systems(p, n, rng):
@@ -1074,6 +1026,30 @@ def test_probe_checks_its_budget_before_any_sweep(monkeypatch):
     solver._check_budget(5**40, 1)
     probe = genericity_probe(StructureTensor(F5, [[[1]]]), SolveConfig(k_max=40))
     assert probe.counts == {k: 2 for k in range(1, 41)}
+
+
+def test_probe_descent_matches_direct_counts():
+    # the probe sweeps only k > k_max/2 and reads each smaller degree's count
+    # off the rows that Frobenius^d fixes; the direct sweep of every F_{p^k}
+    # must agree, on the zero algebra (every direction a row), random tensors
+    # and their perturbations
+    rng = random.Random(131)
+    checked = 0
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for n in (1, 2, 3, 4):
+            for k_max in range(1, 7):
+                if p ** (k_max * (n - 1)) > 10**5:
+                    continue
+                S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+                systems = [build_system(zero_algebra(F, n)), S]
+                systems.append(perturb_system(S, *draw_perturbation(F, n, rng)))
+                for S in systems:
+                    counts = genericity_probe(S, SolveConfig(k_max=k_max)).counts
+                    assert counts == {k: count_solutions_extension(S, k) for k in range(1, k_max + 1)}
+                    assert list(counts) == list(range(1, k_max + 1))
+                    checked += 1
+    assert checked >= 150
 
 
 def test_counts_monotone_along_divisibility():
