@@ -270,6 +270,27 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
             assert [s.coords for s in solve_exhaustive(S)] == ref
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_ffenum_table_arithmetic_matches_scalar_route(q):
+    # the sweep's digit-wise sums and schoolbook products, on every pair of
+    # indices, against the scalar field's addition and polynomial
+    # multiply-and-reduce on coefficient tuples
+    import numpy as np
+
+    from quadalg import ffenum
+
+    F = finite_field(q)
+    D = ffenum.digit_ops(F)
+    elems = list(F.elements())  # index order
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
+    pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
+    da, db = D.digits(a), D.digits(b)
+    sums = D.place @ ((da + db) % D.p)
+    prods = D.place @ D.dmul(da, db)
+    assert [elems[i] for i in sums.tolist()] == [F.add(x, y) for x, y in pairs]
+    assert [elems[i] for i in prods.tolist()] == [F.mul(x, y) for x, y in pairs]
+
+
 def test_sweep_leaves_the_scalar_field_unchanged():
     # the sweep's digit arithmetic belongs to ffenum: a GF(625) sweep changes
     # neither the field's state nor its scalar products and inverses
