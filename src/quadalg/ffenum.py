@@ -4,7 +4,7 @@ Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases, and c < p is the constant c
 in every GF(p^k).  A sweep within the budget has q <= 10^7, so a product of
-two reduced digits, or of three at k = 1, fits in int64.
+two reduced digits fits in int64.
 
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
@@ -13,14 +13,14 @@ canonical order (by lead, then tails in mixed radix).  Each direction splits
 as x = u + w, the prefix u on the first n - m coordinates and the suffix w
 on the last m, and a tile pairs a run of prefixes with a block of suffixes,
 about ``_CHUNK`` int64s in its largest temporary.  The directions whose lead
-lies in w (the zero prefix) are the directions of P^(m-1), swept last.  The
-suffixes' digits and pair products are tabled once per field and m when they
-fit the budget, so no row is divided into digits; a one-coordinate suffix
-over a larger field is built block by block.  Every field, GF(p) and
-GF(p^k) alike, works on base-p digits (``digit_ops``): since Q_j(u + w) =
-Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form values take one
-float64 matmul of each prefix's matrix of w -> B(u, w) + Q(u) against the
-suffix digits, plus Q(w), one matmul per suffix block.  Every partial sum of
+lies in w (the zero prefix) are the directions of P^(m-1), swept last.  Each
+sweep builds its suffixes' digits and pair products (mod p): all q^m at once
+when they fit one tile, shared by every tile, else one block a tile.  Only a
+sweep that is one tile is kept between calls.  Every field, GF(p) and GF(p^k)
+alike, works on base-p digits (``digit_ops``): since Q_j(u + w) = Q_j(u) +
+B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form values take one float64
+matmul of each prefix's matrix of w -> B(u, w) + Q(u) against the suffix
+digits, plus Q(w), one matmul per suffix block.  Every partial sum of
 these matmuls is an integer below 2^53, so it is exact whatever order BLAS
 adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS
 2008), and a row solves when each residual Q_j(x) - lam*x_j is a multiple
@@ -36,7 +36,7 @@ from itertools import chain
 from .fields import PrimeField
 
 # Element budget: about the most int64s a tile's temporaries hold (digits x forms x
-# rows) and a suffix table holds (it sets the suffix length m)
+# rows) and its suffix block holds (it sets the suffix length m)
 _CHUNK = 1 << 15
 
 
@@ -158,14 +158,13 @@ def _pairs(m):
 
 
 def _suffix_size(q, n, k):
-    """The suffix length m, and whether all q^m suffixes are tabled: the
-    largest m < n whose suffixes, at k*max(n, m(m+3)/2 + 1) int64s each
-    (digits, the constant, pair products, or one row's form values), fit in
-    ``_CHUNK``; else m = 1, in blocks."""
+    """The suffix length m: the largest m < n whose q^m suffixes, at
+    k*max(n, m(m+3)/2 + 1) int64s each (digits, the constant, pair products,
+    or one row's form values), fit in ``_CHUNK``; else 1."""
     m = 1
     while m + 1 < n and k * q ** (m + 1) * max(n, (m + 1) * (m + 4) // 2 + 1) <= _CHUNK:
         m += 1
-    return m, k * q**m * max(n, m * (m + 3) // 2 + 1) <= _CHUNK
+    return m
 
 
 def _narrow(a, top):
@@ -178,57 +177,32 @@ def _narrow(a, top):
 def _suffix_rows(F, ops, m, v):
     """The suffixes w in F^m of index v (w_0 most significant, base q): their
     digits (k, m, len), the matmul operand of B(u, w) + Q(u) (the digits with
-    a constant 1 appended as coordinate m) and that of Q(w) (the pair products
-    w_i*w_l, i <= l, in ``_pairs`` order), all stored narrow (``_narrow``).
-
-    At k = 1 the products stay unreduced while pairs*(p-1)^3 + (m+1)*(p-1)^2
-    + p < 2^53, so that every form value is an integer below 2^53 - p: Q(w)
-    sums the products times coefficients below p, and B(u, w) + Q(u) sums
-    m + 1 reduced digits times reduced coefficients, u's own products (x_lead
-    = 1 among them) being reduced into the coefficients of w and of the
-    constant.  At n = 2, where u = (1), that holds for every prime up to
-    208,057.  Otherwise, and above k = 1, the products are reduced mod p."""
+    a constant 1 appended as coordinate m) and that of Q(w) (the digits of
+    the pair products w_i*w_l, i <= l, in ``_pairs`` order, reduced mod p by
+    ``dmul``), all stored narrow (``_narrow``)."""
     import numpy as np
 
-    q, k, p = F.order, ops.k, ops.p
+    q, k = F.order, ops.k
     x = v[None] if m == 1 else v // q ** np.arange(m - 1, -1, -1)[:, None] % q
     d = ops.digits(x)
     left, right = _pairs(m)
-    if k > 1:
-        prods = ops.dmul(d[:, left], d[:, right])
-    else:
-        prods = d[:, left] * d[:, right]
-        if len(left) * (p - 1) ** 3 + (m + 1) * (p - 1) ** 2 + p >= 1 << 53:
-            prods %= p
     one = np.broadcast_to(np.eye(k, 1, dtype=np.int64)[:, :, None], (k, 1, len(v)))
-    return _narrow(d, p - 1), _narrow(np.concatenate([d, one], axis=1), p - 1), _narrow(prods, (p - 1) ** 2)
+    rows = d, np.concatenate([d, one], axis=1), ops.dmul(d[:, left], d[:, right])
+    return tuple(_narrow(a, ops.p - 1) for a in rows)
 
 
-@lru_cache(maxsize=16)
-def _suffix_tables(F, ops, m, whole):
-    """The suffix tables over F^m, built once: all q^m suffixes if ``whole``
-    (else None), and the zero prefix's, the directions of P^(m-1) in
-    canonical order, with their leads."""
-    import numpy as np
-
-    block = F.order ** np.arange(m - 1, -1, -1)
-    norm = np.concatenate([np.arange(b, 2 * b) for b in block.tolist()])
-    table = _suffix_rows(F, ops, m, np.arange(F.order**m)) if whole else None
-    return table, _suffix_rows(F, ops, m, norm), np.repeat(np.arange(m), block)
-
-
-def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
+def _tile(F, ops, n, m, prefixes, blk, zero):
     """One tile: each prefix u of index ``prefixes`` in P^(n-m-1) against the
-    suffixes of index ``suffixes`` (None: the whole table), then the zero
-    prefix's rows if ``zero``.  Returns the suffix block, the prefix count,
-    the float64 matmul operand of the prefixes (the digits of u and of its
-    pair products), each row's digits (k, n, rows), stored narrow, and the
-    flat index of its lead in an (n, rows) array."""
+    suffix block ``blk`` (``_suffix_rows``), then, if ``zero``, the zero
+    prefix's rows, the directions of P^(m-1) in canonical order (read off
+    ``blk`` when it holds all q^m suffixes).  Returns the suffix block, the
+    zero prefix's pair products (None unless ``zero``), the prefix count, the
+    float64 matmul operand of the prefixes (the digits of u and of its pair
+    products), each row's digits (k, n, rows), stored narrow, and the flat
+    index of its lead in an (n, rows) array."""
     import numpy as np
 
     q, k, nu = F.order, ops.k, n - m
-    table, zero_rows, zero_lead = _suffix_tables(F, ops, m, whole)
-    blk = table if suffixes is None else _suffix_rows(F, ops, m, suffixes)
     # place[i] = q^(nu-1-i) is the size of lead block i and the place of u_i,
     # and g + 2 place[lead] - ends[lead] is prefix g's place in its block
     place = q ** np.arange(nu - 1, -1, -1)
@@ -239,14 +213,17 @@ def _tile(F, ops, n, m, whole, prefixes, suffixes, zero):
     S, V = len(prefixes), blk[0].shape[2]
     u, w = np.broadcast_to(du[..., None], (k, nu, S, V)), np.broadcast_to(blk[0][:, :, None], (k, m, S, V))
     x = np.concatenate([u, w], axis=1, dtype=blk[0].dtype).reshape(k, n, S * V)
-    lead = np.repeat(lead, V)
+    lead, zq = np.repeat(lead, V), None
     if zero:
-        tail = np.concatenate([np.zeros((k, nu, len(zero_lead)), x.dtype), zero_rows[0]], axis=1)
-        x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + zero_lead])
+        block = (q ** np.arange(m - 1, -1, -1)).tolist()
+        norm = np.concatenate([np.arange(b, 2 * b) for b in block])
+        zd, _, zq = (a[..., norm] for a in blk) if V == q**m else _suffix_rows(F, ops, m, norm)
+        tail = np.concatenate([np.zeros((k, nu, zd.shape[2]), x.dtype), zd], axis=1)
+        x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + np.repeat(np.arange(m), block)])
     left, right = _pairs(nu)
     y = np.concatenate([du, ops.dmul(du[:, left], du[:, right])], axis=1)
     y = y.reshape(k * (nu + len(left)), S).astype(np.float64)
-    return blk, S, y, x, _narrow(lead * len(lead) + np.arange(len(lead)), n * len(lead))
+    return blk, zq, S, y, x, _narrow(lead * len(lead) + np.arange(len(lead)), n * len(lead))
 
 
 @lru_cache(maxsize=16)
@@ -254,31 +231,34 @@ def _single_tile(F, ops, n, m):
     """The tile of a sweep that is one tile, built once per field and n."""
     import numpy as np
 
-    return _tile(F, ops, n, m, True, np.arange((F.order ** (n - m) - 1) // (F.order - 1)), None, True)
+    total, V = (F.order ** (n - m) - 1) // (F.order - 1), F.order**m
+    return _tile(F, ops, n, m, np.arange(total), _suffix_rows(F, ops, m, np.arange(V)), True)
 
 
-def _tiles(F, ops, n, m, whole):
-    """The sweep's tiles in canonical order, of about ``_CHUNK`` // (k*n) rows:
-    as many prefixes as fit against the whole suffix table, or one against
-    each block of suffixes.  The zero prefix's rows share the last tile if
-    they fit, else they follow alone."""
+def _tiles(F, ops, n, m):
+    """The sweep's tiles in canonical order, of about ``_CHUNK`` // (k*n) rows.
+    When all q^m suffixes fit one tile they are built once and every tile
+    shares them, holding as many prefixes as fit; else each tile is one
+    prefix against a block of suffixes, built for it.  The zero prefix's rows
+    share the last tile if they fit, else they follow alone."""
     import numpy as np
 
     q, k = F.order, ops.k
-    total, V, Z = (q ** (n - m) - 1) // (q - 1), q**m, len(_suffix_tables(F, ops, m, whole)[2])
+    total, V, Z = (q ** (n - m) - 1) // (q - 1), q**m, (q**m - 1) // (q - 1)
     rows = max(1, _CHUNK // (k * n))
-    pstep, vstep = (max(1, rows // V), V) if whole else (1, rows)
+    pstep, vstep = (rows // V, V) if V <= rows else (1, rows)
     spans = [(g, min(g + pstep, total), v, min(v + vstep, V))
              for g in range(0, total, pstep) for v in range(0, V, vstep)]
-    share = bool(spans) and (spans[-1][1] - spans[-1][0]) * (spans[-1][3] - spans[-1][2]) + Z <= rows
-    if whole and share and len(spans) == 1:
+    share = (spans[-1][1] - spans[-1][0]) * (spans[-1][3] - spans[-1][2]) + Z <= rows
+    if share and len(spans) == 1:
         yield _single_tile(F, ops, n, m)
         return
+    shared = _suffix_rows(F, ops, m, np.arange(V)) if V <= rows else None
     for i, (g0, g1, v0, v1) in enumerate(spans):
-        suffixes = None if whole else np.arange(v0, v1)
-        yield _tile(F, ops, n, m, whole, np.arange(g0, g1), suffixes, share and i == len(spans) - 1)
+        blk = shared if V <= rows else _suffix_rows(F, ops, m, np.arange(v0, v1))
+        yield _tile(F, ops, n, m, np.arange(g0, g1), blk, share and i == len(spans) - 1)
     if not share:
-        yield _tile(F, ops, n, m, whole, np.arange(0), None if whole else np.arange(0), True)
+        yield _tile(F, ops, n, m, np.arange(0), blk, True)
 
 
 def solve_system(F, n, forms_idx):
@@ -294,9 +274,8 @@ def solve_system(F, n, forms_idx):
 
     ops = digit_ops(F)
     k = ops.k
-    m, whole = _suffix_size(F.order, n, k)
+    m = _suffix_size(F.order, n, k)
     nu = n - m
-    table, zero_rows, _ = _suffix_tables(F, ops, m, whole)
     # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l in
     # Q_j (keys with lam, variable n, land at l = n and are not read)
     J = np.repeat(np.arange(len(forms_idx)), [len(form) for form in forms_idx])
@@ -314,23 +293,24 @@ def solve_system(F, n, forms_idx):
     C[:, :, m, nu:] = G[:, :, lu, ru]
     Wu = ops.linear(C.reshape(k, n * (m + 1), -1))
 
-    def quad(blk):
-        """Q(w) on a suffix block, (k, n, len), unreduced."""
-        return (Ww @ blk[2].reshape(Ww.shape[1], -1).astype(np.float64)).reshape(k, n, -1)
+    def quad(prods):
+        """Q(w), (k, n, len), unreduced, from the suffixes' pair products."""
+        return (Ww @ prods.reshape(Ww.shape[1], -1).astype(np.float64)).reshape(k, n, -1)
 
-    Qw = quad(table) if whole else None
-    blocks = [np.zeros((0, n + 1), dtype=np.int64)]
-    for blk, S, y, x, at in _tiles(F, ops, n, m, whole):
+    blocks, last = [np.zeros((0, n + 1), dtype=np.int64)], None
+    for blk, zq, S, y, x, at in _tiles(F, ops, n, m):
         R, V = x.shape[2], blk[0].shape[2]
         vals = np.empty((k, n, R))
         if S:
+            if blk is not last:  # Q(w) once per suffix block, shared or not
+                last, Qw = blk, quad(blk[2])
             TQ = (Wu @ y).astype(np.int64).reshape(k, n, m + 1, S).transpose(0, 1, 3, 2)
             L = ops.linear(TQ.reshape(k, n * S, m + 1)).reshape(k * n, S, k * (m + 1))
             main = vals[:, :, : S * V].reshape(k * n, S, V)
             np.matmul(L, blk[1].reshape(k * (m + 1), V).astype(np.float64), out=main)
-            main += (Qw if whole else quad(blk)).reshape(k * n, 1, V)
-        if R > S * V:
-            vals[:, :, S * V :] = quad(zero_rows)
+            main += Qw.reshape(k * n, 1, V)
+        if zq is not None:
+            vals[:, :, S * V :] = quad(zq)
         # each residual Q_j(x) - lam*x_j is an integer below 2^53, exact in
         # float64, and a multiple of p exactly when p*rint(r/p) == r
         lam = vals.reshape(k, -1)[:, at].astype(np.int64) % ops.p

@@ -44,8 +44,8 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# Steps any one enumeration may take: a sweep's points, the witness root
-# search's evaluations, the rational root search's trial divisions.
+# Steps any one enumeration may take: a sweep's points, the finite root
+# scan's Horner steps, the rational root search's trial divisions.
 ENUMERATION_BUDGET = 10_000_000
 
 
@@ -1026,16 +1026,21 @@ def finite_field(q):
 def polynomial_roots(f):
     """All roots of f in its own field (finite fields and the rationals).
 
-    Finite fields are searched exhaustively.  Over the rationals the
-    standard divisor enumeration on a cleared-denominator form is used; it
-    trial-divides the constant and leading coefficients up to their square
-    roots, and raises BudgetExceeded when those steps exceed
+    Finite fields are searched exhaustively, q * (deg f + 1) Horner steps.
+    Over the rationals the standard divisor enumeration on a
+    cleared-denominator form is used; it trial-divides the constant and
+    leading coefficients up to their square roots.  Either search raises
+    BudgetExceeded, before it starts, when its steps exceed
     ENUMERATION_BUDGET.
     """
     F = f.field
     if f.is_zero():
         raise ValueError("root search needs a nonzero polynomial")
     if F.finite:
+        if (steps := F.order * (f.degree + 1)) > ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"root scan over GF({F.order}) needs {steps} Horner steps, over budget {ENUMERATION_BUDGET}"
+            )
         return [a for a in F.elements() if F.is_zero(f(a))]
     if not isinstance(F, Rationals):
         raise UnsupportedField(f"no root search over {F!r}")

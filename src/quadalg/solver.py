@@ -158,21 +158,14 @@ class QuadraticSystem:
 
 def build_system(A):
     """The eigenvector system of an algebra, with the trivial solution built in."""
-    F = A.field
-    n = A.dim
-    forms = []
-    for j in range(n):
-        form = {}
-        for i in range(n):
-            for k in range(n):
-                c = A.alpha[i][k][j]
-                if F.is_zero(c):
-                    continue
-                key = (min(i, k), max(i, k))
-                form[key] = F.add(form.get(key, F.zero()), c)
-        key = (j, n)
-        form[key] = F.add(form.get(key, F.zero()), F.neg(F.one()))
-        forms.append({k: v for k, v in form.items() if not F.is_zero(v)})
+    F, n = A.field, A.dim
+    forms = [{} for _ in range(n)]
+    for i, k, j, c in A._nonzeros:
+        key = (min(i, k), max(i, k))
+        forms[j][key] = F.add(forms[j].get(key, F.zero()), c)
+    forms = [{k: v for k, v in form.items() if not F.is_zero(v)} for form in forms]
+    for j, form in enumerate(forms):
+        form[(j, n)] = F.neg(F.one())
     return QuadraticSystem(F, n, forms, tensor=A)
 
 
@@ -537,16 +530,23 @@ def solve_real(A, cfg=None):
 
     The search (``_unit_eigenpairs``, lam free and seeded as <Vx, x>) also
     feeds the idempotent and absolute-nilpotent searches; restarts are
-    deterministic for a fixed seed.  A real eigenvector always exists for
-    finite-dimensional real algebras, so exhausting the restarts signals a
-    bug, not a math outcome.
+    deterministic for a fixed seed.  It accepts a pair once ``eigencheck``
+    accepts the reported direction, scaled by its pivot, at the field's
+    tolerance.  A real eigenvector always exists for finite-dimensional real
+    algebras, so exhausting the restarts signals a bug, not a math outcome.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed):
+
+    def scaled(u, mu):
         coords = [*u, mu]
         pivot = max(coords, key=abs)  # the first coordinate of largest modulus
-        coords = tuple(float(c / pivot) for c in coords)
-        return ProjectiveSolution(coords, trivial=False, residual=float(res))
+        return tuple(float(c / pivot) for c in coords)
+
+    def accept(u, mu):
+        return eigencheck(A, scaled(u, mu)[: A.dim]) is not None
+
+    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed, accept=accept):
+        return ProjectiveSolution(scaled(u, mu), trivial=False, residual=float(res))
     raise SearchExhausted(
         f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
     )

@@ -307,6 +307,24 @@ def test_spectrum_witnesses_pass_check(tmp_path, capsys, planted_nilpotent):
     capsys.readouterr()
 
 
+def test_real_solve_directions_pass_check(tmp_path, capsys):
+    # solve --engine real reports a direction that check names an eigenvector
+    # of.  10 of these 80 failed when the search stopped at |Vu - mu*u| <=
+    # residual_tol on the unit vector, while check reads x*x = lam*x per
+    # coordinate of the pivot-scaled direction at the file's tol
+    for n in range(2, 6):
+        for comm in (True, False):
+            for s in range(10):
+                A = random_structure_tensor(Reals(), n, random.Random(f"{n}:{comm}:{s}"), commutative=comm)
+                path = write_algebra(tmp_path, A)
+                solved, checked = str(tmp_path / "solve.json"), str(tmp_path / "check.json")
+                assert main(["solve", path, "--engine", "real", "--seed", str(s), "--out", solved]) == 0
+                coords = formats.load_json(solved)["solutions"][0]["coords"][:n]
+                assert main(["check", path, json.dumps(coords), "--out", checked]) == 0
+                assert formats.load_json(checked)["eigenvalue"] is not None, (n, comm, s)
+    capsys.readouterr()
+
+
 def test_spectrum_budget_exceeded_exit_6(tmp_path, capsys):
     # |P^15(F_3)| + 1 = 21,523,361 points: the sweep is refused before it starts
     path = tmp_path / "zero16.json"

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quadalg import (
+    BudgetExceeded,
     DivisionByZero,
     ExtensionField,
     LaurentSeries,
@@ -230,6 +231,15 @@ def test_rational_roots_with_denominators():
     for r in (Fraction(1, 2), Fraction(-2, 3), Fraction(5)):
         f = f * Polynomial(Q, [-r, Fraction(1)])
     assert set(polynomial_roots(f)) == {Fraction(1, 2), Fraction(-2, 3), Fraction(5)}
+
+
+def test_finite_root_scan_checks_its_budget_first():
+    # a^3 + 3 over GF(10^9 + 7) takes 4 * 10^9 Horner steps: refused before
+    # the scan, which otherwise runs for minutes
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        poly_has_root(Polynomial(PrimeField(1_000_000_007), [3, 0, 0, 1]))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -407,37 +407,19 @@ def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
     assert [s.coords for s in solve_exhaustive(S)] == want + [(0, 0, 1)]
 
 
-def _unreduced_bound(p):
-    """The sweep's bound at n = 2 (and at n = 3 above p = 10922): the one
-    suffix pair product w^2 enters its float64 matmul unreduced while
-    (p - 1)^3 + 2 (p - 1)^2 + p < 2^53."""
-    return (p - 1) ** 3 + 2 * (p - 1) ** 2 + p < 2**53
-
-
 @pytest.mark.parametrize("p, draws", [(144259, 4), (144271, 4), (208057, 4), (208067, 4), (1000003, 0)])
 def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
-    # at n = 2 each direction is x = (x_0, w): the sweep's float64 matmul sums
-    # w^2 times an entry below p, and two reduced digit products for x_0 = 1.
-    # w^2 stays unreduced while (p - 1)^3 + 2 (p - 1)^2 + p < 2^53, which
-    # 208057 is the largest prime to meet; 208067 and 1000003 reduce it
-    # first, and at 1000003 unreduced sums would pass 2^53 and lose rows.
-    # 144259 and 144271 flank 3 (p - 1)^3 < 2^53, the bound of a sweep that
-    # sums all three pair products of x unreduced.  Every structure constant
-    # p - 1 reads off the closed form of the largest prime's test; seeded
-    # random tensors read off the roots of their cubic, which take seconds to
-    # find over GF(1000003).
-    import numpy as np
-
-    from quadalg import ffenum
-
+    # at n = 2 each direction is x = (x_0, w) and the suffix is one coordinate,
+    # swept block by block above q = 16384.  Pair products enter the float64
+    # matmul reduced mod p; these primes flank where unreduced ones would
+    # pass 2^53 (3 (p - 1)^3 between 144259 and 144271, (p - 1)^3 + 2 (p -
+    # 1)^2 + p between 208057 and 208067), and at 1000003 they would lose
+    # rows.  Every structure constant p - 1 reads off the closed form of the
+    # largest prime's test; seeded random tensors read off the roots of their
+    # cubic, which take seconds to find over GF(1000003).
     assert is_prime(144259) and is_prime(144271) and not any(map(is_prime, range(144260, 144271)))
-    assert 3 * (144259 - 1) ** 3 < 2**53 <= 3 * (144271 - 1) ** 3
     assert is_prime(208057) and is_prime(208067) and not any(map(is_prime, range(208058, 208067)))
-    assert _unreduced_bound(208057) and not _unreduced_bound(208067)
     F = PrimeField(p)
-    # the sweep's suffix product at w = p - 1 is unreduced exactly below the bound
-    prods = ffenum._suffix_rows(F, ffenum.digit_ops(F), 1, np.array([p - 1]))[2]
-    assert (int(prods.max()) == (p - 1) ** 2) == _unreduced_bound(p)
     S = build_system(StructureTensor(F, [[[p - 1] * 2] * 2] * 2))
     assert form_cubic(S) == [1, 1, p - 1, p - 1]
     want = [(1, u, -((1 + u) ** 2) % p) for u in (1, p - 1)]
@@ -454,22 +436,22 @@ def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
 @pytest.mark.parametrize("p", [208057, 208067])
 def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p):
     # at n = 3 and these primes the suffix is again one coordinate (m = 1),
-    # so the n = 2 bound decides, but P^2 has 4e10 directions.  The sweep is
-    # run on one tile of its own rows instead: prefixes (1, a) and suffixes w
-    # near 0 and p - 1, where w^2 (p - 1) is largest, every row checked
-    # against the forms in Python integers.  With every structure constant
-    # p - 1, Q_j(x) = -(x_0 + x_1 + x_2)^2, so the tile holds the 24 hits
-    # (1, a, -1 - a) with lam = 0, and (1, 1, 1) with lam = -9.
+    # but P^2 has 4e10 directions.  The sweep is run on one tile of its own
+    # rows instead: prefixes (1, a) and suffixes w near 0 and p - 1, where
+    # w^2 (p - 1) is largest, every row checked against the forms in Python
+    # integers.  With every structure constant p - 1, Q_j(x) = -(x_0 + x_1 +
+    # x_2)^2, so the tile holds the 24 hits (1, a, -1 - a) with lam = 0, and
+    # (1, 1, 1) with lam = -9.
     import numpy as np
 
     from quadalg import ffenum
 
     F = PrimeField(p)
-    assert ffenum._suffix_size(p, 3, 1) == (1, False)
+    assert ffenum._suffix_size(p, 3, 1) == 1
     prefixes, suffixes = np.r_[0:12, p - 12 : p], np.r_[0:16, p - 16 : p]
 
-    def one_tile(F, ops, n, m, whole):
-        yield ffenum._tile(F, ops, n, m, whole, prefixes, suffixes, False)
+    def one_tile(F, ops, n, m):
+        yield ffenum._tile(F, ops, n, m, prefixes, ffenum._suffix_rows(F, ops, m, suffixes), False)
 
     monkeypatch.setattr(ffenum, "_tiles", one_tile)
     rng = random.Random(p)
@@ -512,17 +494,18 @@ def _sweep_width(S):
 def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
     # element budgets from 1 row up to the whole sweep, over GF(5) (one digit),
     # GF(9), GF(25) and GF(27).  The budget also sets the suffix length m, so the
-    # tiles cover every shape: one prefix against the whole suffix table or
-    # against a block of it (tiles that end inside the suffix block), runs
-    # of prefixes that end on a boundary of the prefix lead blocks and inside
-    # one, and the zero prefix's rows alone in the last tile or sharing it
+    # tiles cover every shape: one prefix against all q^m suffixes or against
+    # a block of them, narrower than q^m (tiles that end inside the suffix
+    # range), runs of prefixes that end on a boundary of the prefix lead
+    # blocks and inside one, and the zero prefix's rows alone in the last
+    # tile or sharing it
     import numpy as np
 
     from quadalg import ffenum
 
     tile, seen = ffenum._tile, set()
 
-    def spy(F, ops, n, m, whole, prefixes, suffixes, zero):
+    def spy(F, ops, n, m, prefixes, blk, zero):
         q, total = F.order, (F.order ** (n - m) - 1) // (F.order - 1)
         ends = np.cumsum(q ** np.arange(n - m - 1, -1, -1)).tolist()
         if len(prefixes):
@@ -530,11 +513,11 @@ def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
             end = int(prefixes[-1]) + 1
             if end < total:
                 seen.add("on a lead boundary" if end in ends else "inside a lead block")
-        if suffixes is not None and 0 < len(suffixes) < q**m:
-            seen.add("suffix block")
+            if blk[0].shape[2] < q**m:
+                seen.add("suffix block")
         if zero:
             seen.add("zero prefix sharing" if len(prefixes) else "zero prefix alone")
-        return tile(F, ops, n, m, whole, prefixes, suffixes, zero)
+        return tile(F, ops, n, m, prefixes, blk, zero)
 
     monkeypatch.setattr(ffenum, "_tile", spy)
     rng = random.Random(109)
