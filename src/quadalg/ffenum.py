@@ -15,16 +15,16 @@ on the last m, and a tile pairs a run of prefixes with a block of suffixes,
 about ``_CHUNK`` int64s in its largest temporary.  The directions whose lead
 lies in w (the zero prefix) are the directions of P^(m-1), swept last.  Each
 sweep builds its suffixes' digits and pair products (mod p): all q^m at once
-when they fit one tile, shared by every tile, else one block a tile.  Only a
-sweep that is one tile is kept between calls.  Every field, GF(p) and GF(p^k)
-alike, works on base-p digits (``digit_ops``): since Q_j(u + w) = Q_j(u) +
-B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form values take one float64
-matmul of each prefix's matrix of w -> B(u, w) + Q(u) against the suffix
-digits, plus Q(w), one matmul per suffix block.  Every partial sum of
-these matmuls is an integer below 2^53, so it is exact whatever order BLAS
-adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS
-2008), and a row solves when each residual Q_j(x) - lam*x_j is a multiple
-of p.
+when they fit the budget (``_fits``), shared by every tile, else one block a
+tile.  Only a sweep that is one tile is kept between calls.  Every field,
+GF(p) and GF(p^k) alike, works on base-p digits (``digit_ops``): since
+Q_j(u + w) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form
+values take one float64 matmul of each prefix's matrix of w -> B(u, w) + Q(u)
+against the suffix digits, plus Q(w), one matmul per suffix block.  Every
+partial sum of these matmuls is an integer below 2^53, so it is exact
+whatever order BLAS adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and
+Pernet, ACM TOMS 2008), and a row solves when each residual
+Q_j(x) - lam*x_j is a multiple of p.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -36,7 +36,7 @@ from itertools import chain
 from .fields import PrimeField
 
 # Element budget: about the most int64s a tile's temporaries hold (digits x forms x
-# rows) and its suffix block holds (it sets the suffix length m)
+# rows) and a shared suffix block holds (``_fits``; it sets the suffix length m)
 _CHUNK = 1 << 15
 
 
@@ -157,14 +157,15 @@ def _pairs(m):
     return np.triu_indices(m)
 
 
+def _fits(q, n, k, m):
+    """Whether all q^m suffixes, at k*max(n, m(m+3)/2 + 1) int64s each (digits, the
+    constant, pair products, or one row's form values), fit in ``_CHUNK``."""
+    return k * q**m * max(n, m * (m + 3) // 2 + 1) <= _CHUNK
+
+
 def _suffix_size(q, n, k):
-    """The suffix length m: the largest m < n whose q^m suffixes, at
-    k*max(n, m(m+3)/2 + 1) int64s each (digits, the constant, pair products,
-    or one row's form values), fit in ``_CHUNK``; else 1."""
-    m = 1
-    while m + 1 < n and k * q ** (m + 1) * max(n, (m + 1) * (m + 4) // 2 + 1) <= _CHUNK:
-        m += 1
-    return m
+    """The suffix length m: the largest m < n whose suffixes ``_fits``, else 1."""
+    return max([m for m in range(2, n) if _fits(q, n, k, m)], default=1)
 
 
 def _narrow(a, top):
@@ -194,8 +195,7 @@ def _suffix_rows(F, ops, m, v):
 def _tile(F, ops, n, m, prefixes, blk, zero):
     """One tile: each prefix u of index ``prefixes`` in P^(n-m-1) against the
     suffix block ``blk`` (``_suffix_rows``), then, if ``zero``, the zero
-    prefix's rows, the directions of P^(m-1) in canonical order (read off
-    ``blk`` when it holds all q^m suffixes).  Returns the suffix block, the
+    prefix's rows, the directions of P^(m-1) in canonical order.  Returns the suffix block, the
     zero prefix's pair products (None unless ``zero``), the prefix count, the
     float64 matmul operand of the prefixes (the digits of u and of its pair
     products), each row's digits (k, n, rows), stored narrow, and the flat
@@ -217,7 +217,7 @@ def _tile(F, ops, n, m, prefixes, blk, zero):
     if zero:
         block = (q ** np.arange(m - 1, -1, -1)).tolist()
         norm = np.concatenate([np.arange(b, 2 * b) for b in block])
-        zd, _, zq = (a[..., norm] for a in blk) if V == q**m else _suffix_rows(F, ops, m, norm)
+        zd, _, zq = _suffix_rows(F, ops, m, norm)
         tail = np.concatenate([np.zeros((k, nu, zd.shape[2]), x.dtype), zd], axis=1)
         x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + np.repeat(np.arange(m), block)])
     left, right = _pairs(nu)
@@ -237,25 +237,25 @@ def _single_tile(F, ops, n, m):
 
 def _tiles(F, ops, n, m):
     """The sweep's tiles in canonical order, of about ``_CHUNK`` // (k*n) rows.
-    When all q^m suffixes fit one tile they are built once and every tile
-    shares them, holding as many prefixes as fit; else each tile is one
-    prefix against a block of suffixes, built for it.  The zero prefix's rows
-    share the last tile if they fit, else they follow alone."""
+    When all q^m suffixes ``_fits`` they are built once and every tile shares
+    them, holding as many prefixes as fit; else each tile is one prefix
+    against a block of suffixes, built for it.  The zero prefix's rows share
+    the last tile if they fit, else they follow alone."""
     import numpy as np
 
     q, k = F.order, ops.k
     total, V, Z = (q ** (n - m) - 1) // (q - 1), q**m, (q**m - 1) // (q - 1)
-    rows = max(1, _CHUNK // (k * n))
-    pstep, vstep = (rows // V, V) if V <= rows else (1, rows)
+    rows, fit = max(1, _CHUNK // (k * n)), _fits(q, n, k, m)
+    pstep, vstep = (rows // V, V) if fit else (1, rows)
     spans = [(g, min(g + pstep, total), v, min(v + vstep, V))
              for g in range(0, total, pstep) for v in range(0, V, vstep)]
     share = (spans[-1][1] - spans[-1][0]) * (spans[-1][3] - spans[-1][2]) + Z <= rows
-    if share and len(spans) == 1:
+    if fit and share and len(spans) == 1:
         yield _single_tile(F, ops, n, m)
         return
-    shared = _suffix_rows(F, ops, m, np.arange(V)) if V <= rows else None
+    shared = _suffix_rows(F, ops, m, np.arange(V)) if fit else None
     for i, (g0, g1, v0, v1) in enumerate(spans):
-        blk = shared if V <= rows else _suffix_rows(F, ops, m, np.arange(v0, v1))
+        blk = shared or _suffix_rows(F, ops, m, np.arange(v0, v1))
         yield _tile(F, ops, n, m, np.arange(g0, g1), blk, share and i == len(spans) - 1)
     if not share:
         yield _tile(F, ops, n, m, np.arange(0), blk, True)

@@ -41,7 +41,6 @@ from quadalg import (
     zero_algebra,
 )
 from quadalg import solver
-from quadalg.fields import is_prime
 from quadalg.solver import draw_perturbation, normalize_point
 
 Q = Rationals()
@@ -409,16 +408,13 @@ def test_exhaustive_at_the_largest_prime_reads_off_the_cubic():
 
 @pytest.mark.parametrize("p, draws", [(144259, 4), (144271, 4), (208057, 4), (208067, 4), (1000003, 0)])
 def test_sweep_is_exact_on_both_sides_of_the_unreduced_product_bound(p, draws):
-    # at n = 2 each direction is x = (x_0, w) and the suffix is one coordinate,
-    # swept block by block above q = 16384.  Pair products enter the float64
-    # matmul reduced mod p; these primes flank where unreduced ones would
-    # pass 2^53 (3 (p - 1)^3 between 144259 and 144271, (p - 1)^3 + 2 (p -
-    # 1)^2 + p between 208057 and 208067), and at 1000003 they would lose
-    # rows.  Every structure constant p - 1 reads off the closed form of the
-    # largest prime's test; seeded random tensors read off the roots of their
-    # cubic, which take seconds to find over GF(1000003).
-    assert is_prime(144259) and is_prime(144271) and not any(map(is_prime, range(144260, 144271)))
-    assert is_prime(208057) and is_prime(208067) and not any(map(is_prime, range(208058, 208067)))
+    # at n = 2 each direction is x = (x_0, w), and above q = 10922 the sweep
+    # builds its one-coordinate suffixes block by block, their pair products
+    # reduced mod p.  The primes run from CI's two certificates (144271,
+    # 208067) and their neighbours up to 1000003.  Every structure constant
+    # p - 1 reads off the closed form of the largest prime's test; seeded
+    # random tensors read off the roots of their cubic, which take seconds to
+    # find over GF(1000003).
     F = PrimeField(p)
     S = build_system(StructureTensor(F, [[[p - 1] * 2] * 2] * 2))
     assert form_cubic(S) == [1, 1, p - 1, p - 1]
