@@ -195,11 +195,11 @@ def _suffix_rows(F, ops, m, v):
 def _tile(F, ops, n, m, prefixes, blk, zero):
     """One tile: each prefix u of index ``prefixes`` in P^(n-m-1) against the
     suffix block ``blk`` (``_suffix_rows``), then, if ``zero``, the zero
-    prefix's rows, the directions of P^(m-1) in canonical order.  Returns the suffix block, the
-    zero prefix's pair products (None unless ``zero``), the prefix count, the
-    float64 matmul operand of the prefixes (the digits of u and of its pair
-    products), each row's digits (k, n, rows), stored narrow, and the flat
-    index of its lead in an (n, rows) array."""
+    prefix's rows, the directions of P^(m-1) in canonical order.  Returns the
+    suffix block, the zero prefix's pair products (None unless ``zero``), the
+    prefix count, the float64 matmul operand of the prefixes (the digits of u
+    and of its pair products), each row's digits (k, n, rows), stored narrow,
+    and the flat index of its lead in an (n, rows) array."""
     import numpy as np
 
     q, k, nu = F.order, ops.k, n - m
