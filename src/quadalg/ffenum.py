@@ -31,7 +31,6 @@ the solver module, which imports it) does not load numpy.
 """
 
 from functools import lru_cache
-from itertools import chain
 
 from .fields import PrimeField
 
@@ -267,8 +266,9 @@ def solve_system(F, n, forms_idx):
     The rows form an (m, n+1) int64 array, one row (x_1, ..., x_n, lam) per
     solution.  ``forms_idx[j]`` maps variable pairs to coefficient indices and
     must have the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j
-    (the keys without variable n) is read.  The sweep, tile by tile
-    (``_tiles``), is the one the module docstring describes.
+    (the keys without variable n) is read.  A key may name its pair in either
+    order, (i, l) or (l, i), and a pair given both ways is summed.  The sweep,
+    tile by tile (``_tiles``), is the one the module docstring describes.
     """
     import numpy as np
 
@@ -277,13 +277,17 @@ def solve_system(F, n, forms_idx):
     m = _suffix_size(F.order, n, k)
     nu = n - m
     # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l in
-    # Q_j (keys with lam, variable n, land at l = n and are not read)
-    J = np.repeat(np.arange(len(forms_idx)), [len(form) for form in forms_idx])
-    keys = np.fromiter(chain.from_iterable(chain.from_iterable(forms_idx)), np.int64, 2 * len(J))
-    I, L = keys.reshape(-1, 2).T
-    c = np.fromiter(chain.from_iterable(form.values() for form in forms_idx), np.int64, len(J))
-    G = np.zeros((k, n, n + 1, n + 1), dtype=np.int64)
-    np.add.at(G, (slice(None), J, np.minimum(I, L), np.maximum(I, L)), ops.digits(c))
+    # Q_j, keys (i, l) and (l, i) summed (keys with lam, variable n, land at
+    # l = n and are not read)
+    at, c, N = [], [], n + 1
+    for j, form in enumerate(forms_idx):
+        for (i, l), v in form.items():
+            at.append(j * N * N + (i * N + l if i <= l else l * N + i))
+            c.append(v)
+    G = np.zeros((k, n * N * N), dtype=np.int64)
+    at, c = np.array(at, dtype=np.intp), np.array(c, dtype=np.int64)
+    np.add.at(G, (slice(None), at), ops.digits(c))
+    G = G.reshape(k, n, N, N)
     (lu, ru), (lw, rw) = _pairs(nu), _pairs(m)
     Ww = ops.linear(G[:, :, nu + lw, nu + rw])
     # Wu maps a prefix operand (u, its pair products) to the coefficients of

@@ -282,6 +282,9 @@ class PrimeField(Field):
     def from_int(self, k):
         return k % self.p
 
+    def is_zero(self, a):
+        return a == 0
+
     @property
     def characteristic(self):
         return self.p

@@ -157,15 +157,26 @@ class QuadraticSystem:
 
 
 def build_system(A):
-    """The eigenvector system of an algebra, with the trivial solution built in."""
-    F, n = A.field, A.dim
-    forms = [{} for _ in range(n)]
-    for i, k, j, c in A._nonzeros:
-        key = (min(i, k), max(i, k))
-        forms[j][key] = F.add(forms[j].get(key, F.zero()), c)
-    forms = [{k: v for k, v in form.items() if not F.is_zero(v)} for form in forms]
-    for j, form in enumerate(forms):
-        form[(j, n)] = F.neg(F.one())
+    """The eigenvector system of an algebra, with the trivial solution built in.
+
+    Form j holds -1 at (j, n) and, at each pair i <= k where it is nonzero,
+    alpha[i][i][j] if i = k, else alpha[i][k][j] + alpha[k][i][j], an entry
+    the field calls zero dropped before the pair is summed.  The order of a
+    form's keys is not part of the contract.
+    """
+    F, n, al = A.field, A.dim, A.alpha
+    is_zero, mone = F.is_zero, F.neg(F.one())
+    forms = []
+    for j in range(n):
+        form = {}
+        for i in range(n):
+            for k in range(i, n):
+                a, b = al[i][k][j], al[k][i][j]
+                c = b if is_zero(a) else a if i == k or is_zero(b) else F.add(a, b)
+                if not is_zero(c):
+                    form[(i, k)] = c
+        form[(j, n)] = mone
+        forms.append(form)
     return QuadraticSystem(F, n, forms, tensor=A)
 
 
@@ -227,11 +238,12 @@ def trivial_jacobian_check(S):
     of f_j is -xi_j, and perturbations vanish to second order), so the check
     validates the implementation rather than the mathematics.
     """
-    F = S.field
-    jac = affine_jacobian_at_origin(S)
-    mone = F.neg(F.one())
+    F, n = S.field, S.n
+    zero, mone = F.zero(), F.neg(F.one())
     return all(
-        F.eq(jac[j][i], mone if i == j else F.zero()) for j in range(S.n) for i in range(S.n)
+        F.eq(form.get((i, n), zero), mone if i == j else zero)
+        for j, form in enumerate(S.forms)
+        for i in range(n)
     )
 
 

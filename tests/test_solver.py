@@ -141,6 +141,57 @@ def test_evaluate_agrees_with_tensor_route():
             assert P.evaluate(pt) == P.residual_via_tensor(pt)
 
 
+def forms_by_accumulation(A):
+    """The forms oracle: the tensor's nonzero entries summed into their pair
+    i <= k one by one, then the sums the field calls zero dropped."""
+    F, n = A.field, A.dim
+    forms = [{} for _ in range(n)]
+    for i, k, j, c in A._nonzeros:
+        key = (min(i, k), max(i, k))
+        forms[j][key] = F.add(forms[j].get(key, F.zero()), c)
+    forms = [{k: v for k, v in form.items() if not F.is_zero(v)} for form in forms]
+    for j, form in enumerate(forms):
+        form[(j, n)] = F.neg(F.one())
+    return forms
+
+
+def test_build_system_matches_the_accumulated_forms():
+    # 24 seeded tensors per field and n = 1..6, a third of the entries zero
+    # and a quarter of the tensors with cancelling pairs alpha[k][i][j] =
+    # -alpha[i][k][j].  Over R (tol 1e-10) most entries lie inside tol at
+    # 4e-11 to 7e-11, where a pair sums past tol: such an entry is zero and
+    # must be dropped before its pair is summed.  repr tells floats apart
+    # bit for bit, and Fractions from ints.
+    R10 = Reals(1e-10)
+    fields = [F5, finite_field(9), Q, R10, LaurentSeries(Q)]
+    rng = random.Random(59)
+
+    def entry(F):
+        if rng.random() < 1 / 3:
+            return F.zero()
+        if F is R10 and rng.random() < 0.75:
+            return rng.choice((-1, 1)) * rng.uniform(4e-11, 7e-11)
+        return F.random(rng)
+
+    checked = 0
+    for F in fields:
+        for n in range(1, 7):
+            for draw in range(24):
+                al = [[[entry(F) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                if draw % 4 == 0:
+                    for i, k, j in itertools.product(range(n), repeat=3):
+                        if i < k:
+                            al[k][i][j] = F.neg(al[i][k][j])
+                A = StructureTensor(F, al)
+                got, want = build_system(A).forms, forms_by_accumulation(A)
+                assert list(got) == want
+                assert [{k: repr(v) for k, v in f.items()} for f in got] == [
+                    {k: repr(v) for k, v in f.items()} for f in want
+                ]
+                checked += 1
+    assert checked >= 720
+
+
 # ---------------------------------------------------------------------------
 # Jacobian at the trivial solution
 # ---------------------------------------------------------------------------
@@ -462,6 +513,36 @@ def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p)
                 want.append([*x, vals[0]])
         assert planted in (None, len(want))
         assert ffenum.solve_system(F, 3, forms_idx).tolist() == want
+
+
+@pytest.mark.parametrize("q, n", [(7, 3), (25, 2)])
+def test_sweep_reads_a_pair_in_either_order_and_sums_repeats(q, n):
+    # each x_i*x_l coefficient c, i < l < n, split as a at (i, l) and c - a at
+    # (l, i), or a third of the time written at (l, i) alone; the squares and
+    # the lam terms are kept as they are
+    from quadalg import ffenum
+
+    F = finite_field(q)
+    rng = random.Random(q)
+    S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+    split = []
+    for form in S.forms:
+        out = {key: c for key, c in form.items() if key[0] == key[1] or key[1] == n}
+        for i, l in itertools.combinations(range(n), 2):
+            c, a = form.get((i, l), F.zero()), F.random(rng)
+            if rng.random() < 1 / 3:
+                out[(l, i)] = c
+            else:
+                out[(i, l)], out[(l, i)] = a, F.sub(c, a)
+        split.append(out)
+    assert any(i > l for form in split for i, l in form)
+
+    def index(forms):
+        return [{key: F.scalar_index(c) for key, c in form.items()} for form in forms]
+
+    rows = ffenum.solve_system(F, n, index(split))
+    assert len(rows) and rows.tolist() == ffenum.solve_system(F, n, index(S.forms)).tolist()
+    solver._verify_solutions(QuadraticSystem(F, n, split), rows)
 
 
 def test_digit_matrix_refuses_sums_past_2_53():
