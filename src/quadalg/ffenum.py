@@ -3,8 +3,7 @@
 Field elements are addressed by integer index: for GF(p) the index is the
 residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases, and c < p is the constant c
-in every GF(p^k).  A sweep within the budget has q <= 10^7, so a product of
-two reduced digits fits in int64.
+in every GF(p^k).
 
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
@@ -20,11 +19,13 @@ tile.  Only a sweep that is one tile is kept between calls.  Every field,
 GF(p) and GF(p^k) alike, works on base-p digits (``digit_ops``): since
 Q_j(u + w) = Q_j(u) + B_j(u, w) + Q_j(w) with B_j bilinear, a tile's form
 values take one float64 matmul of each prefix's matrix of w -> B(u, w) + Q(u)
-against the suffix digits, plus Q(w), one matmul per suffix block.  Every
-partial sum of these matmuls is an integer below 2^53, so it is exact
-whatever order BLAS adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and
-Pernet, ACM TOMS 2008), and a row solves when each residual
-Q_j(x) - lam*x_j is a multiple of p.
+against the suffix digits, plus Q(w), one matmul per suffix block; lam,
+brought under p (``_PolyOps.reduce``), times x is one digit product
+(``_PolyOps.dmul``), left unreduced.  Every partial sum of these matmuls
+and products is an integer below 2^53, so it is exact in float64 whatever
+order BLAS adds in (the method of FFLAS-FFPACK: Dumas, Giorgi and Pernet,
+ACM TOMS 2008), and a row solves when each residual Q_j(x) - lam*x_j is a
+multiple of p.
 
 numpy is imported by the functions that use it, so importing this module (and
 the solver module, which imports it) does not load numpy.
@@ -43,10 +44,16 @@ class _PolyOps:
     """GF(p^k) on the k base-p digits of each index, digit s along axis 0, from
     the modulus f alone; GF(p) is the case k = 1, f = t.
 
-    Two digit arrays multiply by a schoolbook product folded back by the
-    residues of t^(k+i).  Multiplying by a constant a = sum of a_u t^u is the
-    k x k matrix sum of a_u T_u over GF(p), where column s of T_u, the matrix
-    of y -> t^u * y, holds the digits of t^(u+s) mod f (``linear``).
+    Multiplying by a = sum of a_u t^u is the k x k matrix M(a) = sum of a_u
+    T_u over GF(p), where column s of T_u, the matrix of y -> t^u * y, holds
+    the digits of t^(u+s) mod f.  ``dmul`` forms M(a) for every entry of a
+    digit array and applies each to the other factor's digits; ``linear``
+    forms it for constant coefficients.  Both run in float64, M(a) by one
+    BLAS matmul against ``by_digit``, exact because every sum they form is an
+    integer below 2^53: at most ``top`` for a product of digits under p in
+    absolute value, below k n_in (p-1)^2 for a constant map on n_in of them.
+    Each raises OverflowError where its bound fails; ``reduce`` brings a
+    result back under p.
     """
 
     def __init__(self, F):
@@ -63,10 +70,10 @@ class _PolyOps:
             powers.append([(lo - top[-1] * c) % p for lo, c in zip([0] + top[:-1], f)])
         ar = np.arange(k)
         self.p, self.k, self.place = p, k, p**ar
-        powers = np.array(powers, dtype=np.int64)
-        self.red = powers[k:].T.copy()
-        # by_digit[u, r, s]: digit r of t^(u+s) mod f, so by_digit[u] is T_u
-        self.by_digit = powers[np.add.outer(ar, ar)].transpose(0, 2, 1).copy()
+        # by_digit[u, r*k + s]: digit r of t^(u+s) mod f, so row u is T_u flattened
+        self.by_digit = np.array(powers, dtype=np.float64)[np.add.outer(ar, ar)].transpose(0, 2, 1).reshape(k, k * k)
+        # digit r of a product is at most (p-1)^2 times the sum of row r of every T_u
+        self.top = (p - 1) ** 2 * int(self.by_digit.reshape(k, k, k).sum(axis=(0, 2)).max())
 
     def digits(self, a):
         """Digit s of every index along a new axis 0 (a scalar gets shape (k, 1))."""
@@ -78,22 +85,21 @@ class _PolyOps:
         return a[None] // self.place.reshape((-1,) + (1,) * max(a.ndim, 1)) % self.p
 
     def dmul(self, da, db):
-        """Digits of the products of two digit arrays: a schoolbook product,
-        then the digits t^(k+i), i < k - 1, folded back by their residues.
-        Exact in int64 while k^2 p^3 < 2^63 (k >= 2), as within the budget."""
+        """The float64 digits, not reduced mod p, of the products of two digit
+        arrays: M(a) for each entry a of da, from one matmul with ``by_digit``,
+        applied to the digits of the matching entry of db.  For digits under p
+        in absolute value each is an integer of absolute value at most
+        ``top``, so exact; OverflowError where that reaches 2^53.  Within the
+        budget it is below 3.1*10^10 for k >= 2 and 10^14 for GF(p)."""
         import numpy as np
 
-        k = self.k
-        prod = da[0] * db
-        if k > 1:
-            prod = np.concatenate([prod, np.zeros((k - 1,) + prod.shape[1:], np.int64)])
-            for i in range(1, k):
-                prod[i : i + k] += da[i] * db
-            low = prod[:k]
-            low += (self.red @ prod[k:].reshape(k - 1, -1)).reshape(low.shape)
-            prod = low
-        prod %= self.p
-        return prod
+        if self.top >= 1 << 53:
+            raise OverflowError(f"products of {self.k} digits mod {self.p} can reach 2^53")
+        if self.k == 1:
+            return np.multiply(da, db, dtype=np.float64)
+        k, da = self.k, np.asarray(da)
+        M = (self.by_digit.T @ da.reshape(k, -1)).reshape((k, k) + da.shape[1:])
+        return np.einsum("rs...,s...->r...", M, db)
 
     def scalar_digits(self, x):
         """Digits, along a new axis 0, of a nested sequence of field scalars
@@ -105,27 +111,34 @@ class _PolyOps:
 
     def linear(self, C):
         """The float64 matrix, entries reduced mod p, of y -> z, z_o = sum over
-        i of c_oi * y_i, from the (k, n_out, n_in) digits of the c_oi.  It maps
-        a digit array of shape (k, n_in, ...) to one of shape (k, n_out, ...)
-        through ``apply``.  Raises OverflowError unless k*n_in*(p-1)^2 < 2^53,
-        so that ``apply`` is exact on digits reduced mod p."""
+        i of c_oi * y_i, from the (k, n_out, n_in) int64 digits of the c_oi,
+        reduced mod p and then, for k > 1, put through one matmul with
+        ``by_digit``.  It maps a digit array of shape (k, n_in, ...) to one of
+        shape (k, n_out, ...) through ``apply``.  Raises OverflowError unless
+        k*n_in*(p-1)^2 < 2^53, so that ``apply`` is exact on digits below p in
+        absolute value."""
         import numpy as np
 
         k, n_out, n_in = C.shape
         if k * n_in * (self.p - 1) ** 2 >= 1 << 53:
             raise OverflowError(f"{k * n_in} products of digits mod {self.p} can sum past 2^53")
-        W = (C[0] if k == 1 else np.einsum("uoi,urs->rosi", C, self.by_digit)) % self.p
+        W = C % self.p
+        if k > 1:  # the sum over u of digit u times entry (r, s) of T_u, at (r, o, s, i)
+            W = (self.by_digit.T @ W.reshape(k, -1)).astype(np.int64).reshape(k, k, n_out, n_in).swapaxes(1, 2) % self.p
         return W.reshape(k * n_out, k * n_in).astype(np.float64)
 
     @staticmethod
     def apply(W, y):
-        """W (from ``linear``) applied to the int64 array y by a float64 matmul,
-        returned as int64 and not reduced mod p.  Exact while every sum of
-        products is below 2^53, as ``linear`` assures for y reduced mod p."""
-        import numpy as np
-
-        z = (W @ y.reshape(W.shape[1], -1)).astype(np.int64)
+        """W (from ``linear``) applied to the array y by a float64 matmul, not
+        reduced mod p.  Exact while every sum of products is below 2^53, as
+        ``linear`` assures for digits of y below p in absolute value."""
+        z = W @ y.reshape(W.shape[1], -1)
         return z.reshape((y.shape[0], -1) + y.shape[2:])
+
+    def reduce(self, a):
+        """The float64 integers a, at most 2^53 - p in absolute value, mod p as
+        a - p*rint(a/p): congruent to a, and below p in absolute value."""
+        return a - self.p * (a / self.p).round()
 
 
 @lru_cache(maxsize=32)
@@ -136,15 +149,16 @@ def digit_ops(F):
 
 @lru_cache(maxsize=32)
 def frobenius(F, d):
-    """The k x k int64 matrix over GF(p) of y -> y^(p^d) on F's digits, built once
-    per field and d: column s, the digits of t^s, raised to the p^d by squaring."""
+    """The k x k float64 matrix over GF(p), entries reduced mod p, of y ->
+    y^(p^d) on F's digits, for ``apply``, built once per field and d: column s,
+    the digits of t^s, raised to the p^d by squaring."""
     import numpy as np
 
     D = digit_ops(F)
     # M starts as the digits of 1 in every column, y as those of t^s
-    M, y, e = np.eye(D.k, 1, dtype=np.int64).repeat(D.k, axis=1), np.eye(D.k, dtype=np.int64), D.p**d
+    M, y, e = np.eye(D.k, 1).repeat(D.k, axis=1), np.eye(D.k), D.p**d
     while e:
-        M, y, e = (D.dmul(M, y) if e & 1 else M), D.dmul(y, y), e >> 1
+        M, y, e = (D.dmul(M, y) % D.p if e & 1 else M), D.dmul(y, y) % D.p, e >> 1
     return M
 
 
@@ -178,8 +192,8 @@ def _suffix_rows(F, ops, m, v):
     """The suffixes w in F^m of index v (w_0 most significant, base q): their
     digits (k, m, len), the matmul operand of B(u, w) + Q(u) (the digits with
     a constant 1 appended as coordinate m) and that of Q(w) (the digits of
-    the pair products w_i*w_l, i <= l, in ``_pairs`` order, reduced mod p by
-    ``dmul``), all stored narrow (``_narrow``)."""
+    the pair products w_i*w_l, i <= l, in ``_pairs`` order, from ``dmul``
+    reduced mod p), all stored narrow (``_narrow``)."""
     import numpy as np
 
     q, k = F.order, ops.k
@@ -187,7 +201,7 @@ def _suffix_rows(F, ops, m, v):
     d = ops.digits(x)
     left, right = _pairs(m)
     one = np.broadcast_to(np.eye(k, 1, dtype=np.int64)[:, :, None], (k, 1, len(v)))
-    rows = d, np.concatenate([d, one], axis=1), ops.dmul(d[:, left], d[:, right])
+    rows = d, np.concatenate([d, one], axis=1), ops.reduce(ops.dmul(d[:, left], d[:, right]))
     return tuple(_narrow(a, ops.p - 1) for a in rows)
 
 
@@ -220,8 +234,8 @@ def _tile(F, ops, n, m, prefixes, blk, zero):
         tail = np.concatenate([np.zeros((k, nu, zd.shape[2]), x.dtype), zd], axis=1)
         x, lead = np.concatenate([x, tail], axis=2), np.concatenate([lead, nu + np.repeat(np.arange(m), block)])
     left, right = _pairs(nu)
-    y = np.concatenate([du, ops.dmul(du[:, left], du[:, right])], axis=1)
-    y = y.reshape(k * (nu + len(left)), S).astype(np.float64)
+    y = np.concatenate([du, ops.reduce(ops.dmul(du[:, left], du[:, right]))], axis=1)
+    y = y.reshape(k * (nu + len(left)), S)
     return blk, zq, S, y, x, _narrow(lead * len(lead) + np.arange(len(lead)), n * len(lead))
 
 
@@ -315,20 +329,22 @@ def solve_system(F, n, forms_idx):
             main += Qw.reshape(k * n, 1, V)
         if zq is not None:
             vals[:, :, S * V :] = quad(zq)
-        # each residual Q_j(x) - lam*x_j is an integer below 2^53, exact in
-        # float64, and a multiple of p exactly when p*rint(r/p) == r
-        lam = vals.reshape(k, -1)[:, at].astype(np.int64) % ops.p
-        t = ops.dmul(lam[:, None], x) if k > 1 else np.multiply(lam[:, None], x, dtype=np.float64)
+        # each residual Q_j(x) - lam*x_j, lam*x unreduced (``dmul``), is an
+        # integer below 2^53, exact in float64, and a multiple of p exactly
+        # when p*rint(r/p) == r; lam is under p in absolute value (``reduce``)
+        lam = ops.reduce(np.take(vals.reshape(k, -1), at, axis=1))
+        t = ops.dmul(lam[:, None], x)
         vals -= t
-        t = np.multiply(vals, 1.0 / ops.p, out=t if k == 1 else None)
+        np.multiply(vals, 1.0 / ops.p, out=t)
         np.rint(t, out=t)
         t *= ops.p
         hit = (t == vals).reshape(k * n, R).all(axis=0)
         if hit.any():
             h = np.flatnonzero(hit)
-            xs, lam = x[:, :, h], lam[:, h]
-            if k > 1:
-                xs, lam = np.tensordot(ops.place, xs, 1), ops.place @ lam
+            # lam fits x's narrow type, and % p makes it a digit
+            lh = np.take(lam, h, axis=1)[:, None].astype(x.dtype) % ops.p
+            d = np.concatenate([np.take(x, h, axis=2), lh], axis=1)
+            d = d[0] if k == 1 else ops.place @ d.reshape(k, -1)
             # every index is below q <= 10^7, so the blocks are kept as int32
-            blocks.append(np.vstack([xs.reshape(n, -1), lam.reshape(1, -1)], dtype=np.int32).T)
+            blocks.append(d.reshape(n + 1, -1).astype(np.int32).T)
     return np.concatenate(blocks, dtype=np.int64)

@@ -271,16 +271,16 @@ def _verify_solutions(S, rows, E=None):
 
     The rows, an (m, n+1) int64 array, index E: S.field, or GF(p^k) over a
     prime S.field, whose low digit holds S's constants.  They are checked in
-    chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays
-    (``ffenum.digit_ops``, from the modulus).
-    Multiplying by a constant is a k x k matrix over GF(p), so the values
-    x*x - lam*x are one float64 matmul of the reduced pair products x_i*x_l
-    and lam*x_j against a matrix built from the structure tensor, exact since
-    every partial sum is an integer below 2^53 (``ffenum._PolyOps.linear``
-    raises otherwise), then reduced mod p once.  A perturbation
-    subtracts eps_j * phi_j(x)^2, that is eps_j*phi_ji*phi_jl at the pair
-    (i, l) of form j, its constants multiplied on digits too.  A system with
-    no tensor is checked the same way from its forms.
+    chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays, with
+    the sweep's float64 kernel (``ffenum.digit_ops``, from the modulus): the
+    pair products x_i*x_l and lam*x_j (``dmul``), brought under p
+    (``reduce``), go through one matmul against a matrix built from the
+    structure tensor (multiplying by a constant is a k x k matrix over GF(p),
+    ``linear``), exact since every partial sum is an integer below 2^53
+    (``linear`` raises otherwise), and the values x*x - lam*x are reduced mod
+    p once.  A perturbation subtracts eps_j * phi_j(x)^2, that is
+    eps_j*phi_ji*phi_jl at the pair (i, l) of form j, its constants multiplied
+    on digits too.  A system with no tensor is checked the same way.
     """
     if not len(rows):
         return
@@ -297,12 +297,12 @@ def _verify_solutions(S, rows, E=None):
                 G[: DS.k, i, l, j] = DS.scalar_digits(c)
     else:
         G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
-        G[0, :n, n] = (D.p - 1) * np.eye(n, dtype=np.int64)
+        G[0, range(n), n, range(n)] = -1  # G is left unreduced: ``linear`` reduces it
         if S.perturbation is not None:
             eps = DS.scalar_digits([e for e, _ in S.perturbation])  # (k, j)
             phi = DS.scalar_digits([cs for _, cs in S.perturbation])  # (k, j, i)
-            prods = DS.dmul(DS.dmul(eps[:, :, None], phi)[..., None], phi[:, :, None, :])
-            G[: DS.k, :n, :n] -= prods.transpose(0, 2, 3, 1)
+            prods = DS.dmul(DS.dmul(eps[:, :, None], phi)[..., None] % DS.p, phi[:, :, None, :])
+            G[: DS.k, :n, :n] -= prods.transpose(0, 2, 3, 1).astype(np.int64)
     left, right, fold = _variable_pairs(n)
     C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
     used = C.any(axis=(0, 1))  # pairs in no term are dropped
@@ -312,8 +312,7 @@ def _verify_solutions(S, rows, E=None):
     for start in range(0, len(rows), step):
         chunk = rows[start : start + step]
         d = D.digits(chunk.T)  # (k, n+1, rows)
-        vals = D.apply(W, D.dmul(d[:, left], d[:, right]))
-        vals %= D.p
+        vals = D.apply(W, D.reduce(D.dmul(d[:, left], d[:, right]))).astype(np.int64) % D.p
         if vals.any():
             bad = np.flatnonzero(vals.any(axis=(0, 1)))[0]
             pt = tuple(E.scalar_from_index(int(i)) for i in chunk[bad])
@@ -626,7 +625,8 @@ def _as_system(A_or_S):
 def _subfield_count(E, rows, d):
     """How many index rows over E = GF(p^k) lie over GF(p^d), d | k: those whose
     x, lead 1, Frobenius^d fixes (Lidl and Niederreiter, *Finite Fields*, 2.3),
-    tested on digits ``ffenum._CHUNK`` int64s at a time.  GF(p) fixes all."""
+    each image one matmul on digits, ``ffenum._CHUNK`` int64s at a time.
+    GF(p) fixes all."""
     if isinstance(E, PrimeField):
         return len(rows)
     D, M = ffenum.digit_ops(E), ffenum.frobenius(E, d)
@@ -634,8 +634,8 @@ def _subfield_count(E, rows, d):
     fixed = 0
     for start in range(0, len(rows), step):
         x = D.digits(rows[start : start + step, :-1].T)  # (k, n, rows)
-        image = (M @ x.reshape(D.k, -1)).reshape(x.shape) % D.p
-        fixed += int((image == x).all(axis=(0, 1)).sum())
+        moved = (D.apply(M, x) - x) / D.p  # an integer exactly where x is fixed
+        fixed += int((moved.round() == moved).all(axis=(0, 1)).sum())
     return fixed
 
 

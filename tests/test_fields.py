@@ -132,16 +132,22 @@ def test_scalar_index_round_trip():
 
 
 def _check_digit_ops(F, pairs):
-    """Digit products (``dmul``) and digit-wise sums of indices against
-    multiply-and-reduce and digit-wise addition on tuples, the index round
-    trip, and extended-Euclid inverses, whose digit product with x is 1."""
+    """Digit products (``dmul``, reduced mod p here) and digit-wise sums of
+    indices against multiply-and-reduce and digit-wise addition on tuples,
+    the index round trip, and extended-Euclid inverses, whose digit product
+    with x is 1.  ``dmul`` on the signed digits that ``reduce`` leaves gives
+    the same products mod p."""
     import numpy as np
 
     from quadalg import ffenum
 
     D, B, p = ffenum.digit_ops(F), F.base, F.base.p
     a, b = (D.digits(np.array([F.scalar_index(x) for x in xs])) for xs in zip(*pairs))
-    prods, sums = (D.place @ D.dmul(a, b)).tolist(), (D.place @ ((a + b) % p)).tolist()
+    prods = D.dmul(a, b)
+    signed = D.dmul(D.reduce(a.astype(np.float64)), D.reduce(b.astype(np.float64)))
+    assert not ((signed - prods) % p).any()
+    prods = (D.place @ (prods.astype(np.int64) % p)).tolist()
+    sums = (D.place @ ((a + b) % p)).tolist()
     for (x, y), xy, s in zip(pairs, prods, sums):
         assert F.scalar_from_index(xy) == F.mul(x, y)
         assert F.scalar_from_index(s) == F.add(x, y) == tuple(B.add(u, v) for u, v in zip(x, y))
@@ -153,7 +159,7 @@ def _check_digit_ops(F, pairs):
         with pytest.raises(DivisionByZero):
             F.inv(x)
     x, inv = (D.digits(np.array([F.scalar_index(u) for u in us])) for us in (units, map(F.inv, units)))
-    assert (D.place @ D.dmul(x, inv) == 1).all()
+    assert (D.place @ (D.dmul(x, inv).astype(np.int64) % p) == 1).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 125])
@@ -169,6 +175,16 @@ def test_digit_ops_match_polynomial_route_on_seeded_pairs(q):
     F = finite_field(q)
     rng = random.Random(q)
     pairs = [(F.random(rng), F.random(rng)) for _ in range(10_000)]
+    _check_digit_ops(F, pairs + [(F.zero(), F.one()), (F.one(), F.zero())])
+
+
+@pytest.mark.parametrize("q", [3137**2, 2**23])
+def test_digit_ops_are_exact_at_the_budgets_extremes(q):
+    # GF(3137^2), the largest p^2 within the 10^7 budget, has the largest
+    # unreduced digit products; GF(2^23) has the most digits
+    F = finite_field(q)
+    rng = random.Random(q)
+    pairs = [(F.random(rng), F.random(rng)) for _ in range(2_000)]
     _check_digit_ops(F, pairs + [(F.zero(), F.one()), (F.one(), F.zero())])
 
 

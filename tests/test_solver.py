@@ -322,9 +322,9 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_ffenum_table_arithmetic_matches_scalar_route(q):
-    # the sweep's digit-wise sums and schoolbook products, on every pair of
-    # indices, against the scalar field's addition and polynomial
-    # multiply-and-reduce on coefficient tuples
+    # the sweep's digit-wise sums and schoolbook products (float64, not
+    # reduced mod p), on every pair of indices, against the scalar field's
+    # addition and polynomial multiply-and-reduce on coefficient tuples
     import numpy as np
 
     from quadalg import ffenum
@@ -336,7 +336,7 @@ def test_ffenum_table_arithmetic_matches_scalar_route(q):
     pairs = [(elems[i], elems[j]) for i, j in zip(a.tolist(), b.tolist())]
     da, db = D.digits(a), D.digits(b)
     sums = D.place @ ((da + db) % D.p)
-    prods = D.place @ D.dmul(da, db)
+    prods = D.place @ (D.dmul(da, db).astype(np.int64) % D.p)
     assert [elems[i] for i in sums.tolist()] == [F.add(x, y) for x, y in pairs]
     assert [elems[i] for i in prods.tolist()] == [F.mul(x, y) for x, y in pairs]
 
@@ -560,6 +560,58 @@ def test_digit_matrix_refuses_sums_past_2_53():
     for F in (PrimeField(9999991), finite_field(5**7)):
         D = ffenum.digit_ops(F)
         assert D.linear(np.ones((D.k, 2, 6), dtype=np.int64)).dtype == np.float64
+
+
+def test_digit_product_refuses_sums_past_2_53():
+    # a product of two digits of GF(2^31 - 1) can reach 2^53; the largest
+    # prime, the largest p^2 and the largest k within the budget stay below
+    import numpy as np
+
+    from quadalg import ffenum
+
+    with pytest.raises(OverflowError):
+        ffenum.digit_ops(PrimeField(2**31 - 1)).dmul(np.ones((1, 1)), np.ones((1, 1)))
+    for F in (PrimeField(9999991), finite_field(3137**2), finite_field(2**23)):
+        D = ffenum.digit_ops(F)
+        assert D.dmul(np.ones((D.k, 1)), np.ones((D.k, 1))).dtype == np.float64
+
+
+@pytest.mark.parametrize("p", [2, 5, 3137, 208067, 9999991])
+def test_float_remainder_is_congruent_and_below_p(p):
+    # integers up to 2^53 - p of either sign, the near-multiples of p where
+    # a/p rounds to a half-integer or an integer, and the largest product of
+    # two digits: each result is congruent to its input and below p in size
+    import numpy as np
+
+    from quadalg import ffenum
+
+    rng = random.Random(p)
+    top = (1 << 53) - p
+    a = [0, top, -top, (p - 1) ** 2] + [rng.randrange(-top, top + 1) for _ in range(2_000)]
+    a += [m * p + s for m in (rng.randrange(top // p) for _ in range(200)) for s in (-1, 0, 1, p // 2, -(p // 2))]
+    a = [v for v in a if abs(v) <= top]
+    r = ffenum.digit_ops(PrimeField(p)).reduce(np.array(a, dtype=np.float64))
+    assert all(abs(v) < p and (x - v) % p == 0 for x, v in zip(a, map(int, r)))
+
+
+@pytest.mark.parametrize("q, n", [(2**8, 2), (3**5, 2), (2**4, 3)])
+def test_large_degree_sweeps_match_the_scalar_oracle(q, n):
+    # sweeps with 4 to 8 digits, coefficients in the extension itself.  A
+    # direction x of P^{n-1}, lead x_lead = 1, can solve g_j = Q_j(x) -
+    # lam*x_j only at lam = Q_lead(x), the value of g_lead at lam = 0, so the
+    # oracle runs the scalar is_solution on x at that lam, for every x, and
+    # on the trivial point: the q^n-point P^n loop would take 20 s over GF(2^8)
+    F = finite_field(q)
+    rng = random.Random(q)
+    S = build_system(random_structure_tensor(F, n, rng, commutative=False))
+    for T in (S, perturb_system(S, *draw_perturbation(F, n, rng))):
+        ref = []
+        for x in projective_points(F, n - 1):
+            lead = next(i for i, c in enumerate(x) if not F.is_zero(c))
+            pt = x + (T.evaluate(x + (F.zero(),))[lead],)
+            ref += [pt] if T.is_solution(pt) else []
+        ref.append((F.zero(),) * n + (F.one(),))
+        assert [s.coords for s in solve_exhaustive(T)] == ref
 
 
 def _sweep_width(S):
