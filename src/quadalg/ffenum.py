@@ -70,8 +70,9 @@ class _PolyOps:
             powers.append([(lo - top[-1] * c) % p for lo, c in zip([0] + top[:-1], f)])
         ar = np.arange(k)
         self.p, self.k, self.place = p, k, p**ar
+        powers = np.array(powers, dtype=np.float64)
         # by_digit[u, r*k + s]: digit r of t^(u+s) mod f, so row u is T_u flattened
-        self.by_digit = np.array(powers, dtype=np.float64)[np.add.outer(ar, ar)].transpose(0, 2, 1).reshape(k, k * k)
+        self.by_digit = powers[np.add.outer(ar, ar)].transpose(0, 2, 1).reshape(k, k * k)
         # digit r of a product is at most (p-1)^2 times the sum of row r of every T_u
         self.top = (p - 1) ** 2 * int(self.by_digit.reshape(k, k, k).sum(axis=(0, 2)).max())
 
@@ -124,7 +125,8 @@ class _PolyOps:
             raise OverflowError(f"{k * n_in} products of digits mod {self.p} can sum past 2^53")
         W = C % self.p
         if k > 1:  # the sum over u of digit u times entry (r, s) of T_u, at (r, o, s, i)
-            W = (self.by_digit.T @ W.reshape(k, -1)).astype(np.int64).reshape(k, k, n_out, n_in).swapaxes(1, 2) % self.p
+            W = (self.by_digit.T @ W.reshape(k, -1)).astype(np.int64).reshape(k, k, n_out, n_in)
+            W = W.swapaxes(1, 2) % self.p
         return W.reshape(k * n_out, k * n_in).astype(np.float64)
 
     @staticmethod
