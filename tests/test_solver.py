@@ -322,7 +322,7 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_ffenum_table_arithmetic_matches_scalar_route(q):
-    # the sweep's digit-wise sums and schoolbook products (float64, not
+    # the sweep's digit-wise sums and digit products (float64, not
     # reduced mod p), on every pair of indices, against the scalar field's
     # addition and polynomial multiply-and-reduce on coefficient tuples
     import numpy as np
