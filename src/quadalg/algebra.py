@@ -201,16 +201,21 @@ def _eq_vec(F, x, y):
     return all(F.eq(a, b) for a, b in zip(x, y))
 
 
+def projective_pivot(F, x):
+    """The index of the pivot of a nonzero x: its leftmost nonzero coordinate
+    over an exact field, over the reals its first of largest modulus."""
+    if F.is_exact:
+        return next(i for i, c in enumerate(x) if not F.is_zero(c))
+    return max(range(len(x)), key=lambda i: abs(x[i]))
+
+
 def eigencheck(A, x):
     """The scalar lam with x*x = lam*x, or None when x*x is not proportional to x."""
     F = A.field
     if is_zero_vector(F, x):
         raise ZeroVector("eigencheck needs a nonzero vector")
     v = A.square(x)
-    if F.is_exact:
-        pivot = next(i for i, c in enumerate(x) if not F.is_zero(c))
-    else:
-        pivot = max(range(len(x)), key=lambda i: abs(x[i]))
+    pivot = projective_pivot(F, x)
     lam = F.div(v[pivot], x[pivot])
     for j in range(A.dim):
         if not F.eq(v[j], F.mul(lam, x[j])):
@@ -428,13 +433,12 @@ def classify_spectrum(A, cfg=None):
     from . import solver
 
     if F.finite:
-        rows = solver._solution_rows(solver.build_system(A))
-        if A.dim > 1:
-            import numpy as np
+        import numpy as np
 
-            # only the first row with lam = 0 and the first with lam != 0 are read
-            zero = rows[:, -1] == 0
-            rows = rows[sorted(int(np.argmax(z)) for z in (zero, ~zero) if z.any())].tolist()
+        _, rows = solver._solution_rows(solver.build_system(A))
+        # only the first row with lam = 0 and the first with lam != 0 are read
+        zero = rows[:, -1] == 0
+        rows = rows[sorted(int(np.argmax(z)) for z in (zero, ~zero) if z.any())].tolist()
         return _report_from_solutions(A, solver._nontrivial_solutions(F, rows))
     idem = solver.find_idempotent_real(A, cfg)
     nil = solver.find_absolute_nilpotent_real(A, cfg)

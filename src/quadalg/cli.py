@@ -50,13 +50,13 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import (
-    ENUMERATION_BUDGET,
     ExtensionField,
     LaurentSeries,
     Polynomial,
     PrimeField,
     Rationals,
     Reals,
+    check_root_scan,
     field_from_json,
     finite_field,
     poly_has_root,
@@ -270,28 +270,22 @@ def cmd_counterexample(args):
     return 0
 
 
-def _check_witness_budget(q):
-    # the root search evaluates the degree-q (q + 1 in characteristic 2)
-    # witness at all q elements
-    if q * (q + 1) > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"witness root search over GF({q}) needs {q * (q + 1)} steps, "
-            f"over budget {ENUMERATION_BUDGET}"
-        )
-
-
 def cmd_witness(args):
-    if (q := _alias_order(args.field)) is not None:
-        # before GF(q) is built: certifying a large modulus takes seconds
-        _check_witness_budget(q)
-    F = parse_field_spec(args.field)
+    q = _alias_order(args.field)
+    F = parse_field_spec(args.field) if q is None else None
     if isinstance(F, Rationals):
         ints = [-2, 0, 0, 1]
         desc = "a^3 - 2"
-    elif F.finite:
-        q = F.order
-        _check_witness_budget(q)
-        if F.characteristic == 2:
+    elif F is None or F.finite:
+        q = q or F.order
+        # the witness has degree q + 1 in characteristic 2, else q; a gf:q
+        # alias is budgeted before GF(q) is built, since certifying a large
+        # modulus takes seconds
+        char2 = q % 2 == 0
+        check_root_scan(q, q + char2)
+        if F is None:
+            F = parse_field_spec(args.field)
+        if char2:
             ints = [1, 0, -1] + [0] * (q - 2) + [1]
             desc = f"a^{q + 1} - a^2 + 1"
         else:

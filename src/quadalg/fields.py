@@ -459,8 +459,6 @@ class ExtensionField(Field):
     prime below 100 for higher degree).
 
     `mul` multiplies and reduces polynomials and `inv` runs extended Euclid.
-    Over a prime base, addition, subtraction and negation work digit by
-    digit on the coefficient tuple.
     """
 
     kind = "ext"
@@ -495,21 +493,12 @@ class ExtensionField(Field):
         return tuple(cs + [z] * (self.degree - len(cs)))
 
     def add(self, a, b):
-        p = self._p
-        if p:
-            return tuple([(x + y) % p for x, y in zip(a, b)])
         return tuple([self.base.add(x, y) for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        p = self._p
-        if p:
-            return tuple([(x - y) % p for x, y in zip(a, b)])
         return tuple([self.base.sub(x, y) for x, y in zip(a, b)])
 
     def neg(self, a):
-        p = self._p
-        if p:
-            return tuple([-x % p for x in a])
         return tuple([self.base.neg(x) for x in a])
 
     def mul(self, a, b):
@@ -1026,24 +1015,27 @@ def finite_field(q):
 # Root search and Eisenstein's criterion
 # ---------------------------------------------------------------------------
 
+def check_root_scan(q, degree):
+    """Raise BudgetExceeded unless a root scan of a polynomial of this degree
+    over GF(q), q * (degree + 1) Horner steps, fits ENUMERATION_BUDGET."""
+    if (steps := q * (degree + 1)) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"root scan over GF({q}) needs {steps} Horner steps, over budget {ENUMERATION_BUDGET}")
+
+
 def polynomial_roots(f):
     """All roots of f in its own field (finite fields and the rationals).
 
-    Finite fields are searched exhaustively, q * (deg f + 1) Horner steps.
-    Over the rationals the standard divisor enumeration on a
-    cleared-denominator form is used; it trial-divides the constant and
-    leading coefficients up to their square roots.  Either search raises
-    BudgetExceeded, before it starts, when its steps exceed
-    ENUMERATION_BUDGET.
+    Finite fields are searched exhaustively (``check_root_scan``).  Over the
+    rationals the standard divisor enumeration on a cleared-denominator form
+    is used; it trial-divides the constant and leading coefficients up to
+    their square roots.  Either search raises BudgetExceeded, before it
+    starts, when its steps exceed ENUMERATION_BUDGET.
     """
     F = f.field
     if f.is_zero():
         raise ValueError("root search needs a nonzero polynomial")
     if F.finite:
-        if (steps := F.order * (f.degree + 1)) > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"root scan over GF({F.order}) needs {steps} Horner steps, over budget {ENUMERATION_BUDGET}"
-            )
+        check_root_scan(F.order, f.degree)
         return [a for a in F.elements() if F.is_zero(f(a))]
     if not isinstance(F, Rationals):
         raise UnsupportedField(f"no root search over {F!r}")

@@ -37,7 +37,14 @@ from enum import Enum
 from functools import lru_cache
 
 from . import ffenum
-from .algebra import StructureTensor, eigencheck, is_absolute_nilpotent, is_idempotent
+from .algebra import (
+    StructureTensor,
+    eigencheck,
+    is_absolute_nilpotent,
+    is_idempotent,
+    is_zero_vector,
+    projective_pivot,
+)
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -92,16 +99,9 @@ class ProjectiveSolution(namedtuple("ProjectiveSolution", "coords trivial residu
 def normalize_point(F, coords):
     """Canonical projective representative (see ProjectiveSolution)."""
     coords = tuple(coords)
-    if F.is_exact:
-        pivot = next((i for i, c in enumerate(coords) if not F.is_zero(c)), None)
-        if pivot is None:
-            raise ValueError("cannot normalize the zero point")
-        c = F.inv(coords[pivot])
-    else:
-        pivot = max(range(len(coords)), key=lambda i: abs(coords[i]))
-        if F.is_zero(coords[pivot]):
-            raise ValueError("cannot normalize the zero point")
-        c = 1.0 / coords[pivot]
+    if is_zero_vector(F, coords):
+        raise ValueError("cannot normalize the zero point")
+    c = F.inv(coords[projective_pivot(F, coords)])  # 1.0 / pivot over the reals
     return tuple(F.mul(c, x) for x in coords)
 
 
@@ -332,33 +332,45 @@ def _check_budget(q, n):
         raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
 
 
-def _solution_rows(S, E=None):
-    """Index rows (x : lam) of the nontrivial solutions over a finite field, verified.
+def _solution_rows(S, k=None):
+    """The field E swept and the index rows (x : lam) over E of the nontrivial
+    solutions, verified.
 
-    The field swept, E, is S.field or GF(p^k) over a prime S.field, where S's
-    form indices stand.  Each form must read g_j = Q_j(x) - lam*x_j (ValueError
-    otherwise), so x != 0 solves the system exactly when Q(x) = lam*x, with
-    lam = Q_lead(x) at the leftmost nonzero coordinate of x (scaled to 1).
+    E is S.field, or with k given GF(p^k) over the prime S.field
+    (UnsupportedField otherwise, ValueError for k < 1), where S's form indices
+    stand.  Each form must read g_j = Q_j(x) - lam*x_j (ValueError otherwise),
+    so x != 0 solves the system exactly when Q(x) = lam*x, with lam =
+    Q_lead(x) at the leftmost nonzero coordinate of x (scaled to 1).
     ``fields.ENUMERATION_BUDGET`` bounds the points swept, |P^{n-1}(E)| + 1
-    (``_check_budget``), and with them the sweep's time.  For n >= 2
-    ``ffenum.solve_system`` sweeps the directions x in P^{n-1}(E) and the
-    rows, an (m, n+1) int64 array in canonical order, pass
-    ``_verify_solutions``.  P^0 is the single direction (1), and g_0 =
-    c*x_0^2 - lam*x_0 vanishes at (1 : c), so for n = 1 the rows are the list
-    [(1, index of c)], Python ints with no numpy (the indices of GF(3^40) do
-    not fit int64).
+    (``_check_budget``), and with them the sweep's time; it is checked before
+    GF(p^k) is built.  For n >= 2 ``ffenum.solve_system`` sweeps the
+    directions x in P^{n-1}(E) and the rows, an (m, n+1) int64 array in
+    canonical order, pass ``_verify_solutions``.  P^0 is the single direction
+    (1), and g_0 = c*x_0^2 - lam*x_0 vanishes at (1 : c) over every extension,
+    so for n = 1 E is S.field, never built larger, and the rows are the one
+    row [1, index of c], an object array of Python ints (the indices of
+    GF(3^40) do not fit int64).
     """
-    F, E = S.field, E or S.field
-    if not F.finite:
-        raise UnsupportedField("exhaustive enumeration needs a finite field")
+    import numpy as np
+
+    F = S.field
+    if k is None:
+        if not F.finite:
+            raise UnsupportedField("exhaustive enumeration needs a finite field")
+        k = 1
+    elif not isinstance(F, PrimeField):
+        raise UnsupportedField("extension counts need a prime base field")
+    elif k < 1:
+        raise ValueError("extension degree must be >= 1")
     _require_eigen_form(S)
-    _check_budget(E.order, S.n)
+    _check_budget(F.order**k, S.n)
     if S.n == 1:
-        return [(1, F.scalar_index(S.forms[0].get((0, 0), F.zero())))]
+        return F, np.array([[1, F.scalar_index(S.forms[0].get((0, 0), F.zero()))]], dtype=object)
+    E = finite_field(F.p**k) if k > 1 else F
     forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
     rows = ffenum.solve_system(E, S.n, forms_idx)
     _verify_solutions(S, rows, E)
-    return rows
+    return E, rows
 
 
 def _nontrivial_solutions(F, rows):
@@ -378,9 +390,8 @@ def solve_exhaustive(S):
     sweep, its budget and its checks), in the order of the canonical
     enumeration of P^n; the trivial point (0 : ... : 0 : 1) comes last.
     """
-    rows = _solution_rows(S)
-    sols = _nontrivial_solutions(S.field, rows if S.n == 1 else rows.tolist())
-    return sols + [_trivial_solution(S.field, S.n)]
+    E, rows = _solution_rows(S)
+    return _nontrivial_solutions(E, rows.tolist()) + [_trivial_solution(E, S.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +468,12 @@ def solve_exact_dim2(A):
 # without loading it.
 
 
-def _unit_eigenpairs(A, cfg, seed, lam=None, accept=None):
+def _unit_eigenpairs(A, cfg, seed, accept, lam=None):
     """Unit eigenpairs (u, mu, residual) of a real algebra, by multistart damped Newton.
 
     Solves Vu - mu*u = 0, |u|^2 = 1 from unit starts drawn with ``seed``; a
     restart yields at most one pair, once |Vu - mu*u| <= ``cfg.residual_tol``
-    at the normalized iterate and ``accept(u, mu)``, if given, holds; until
+    at the normalized iterate and ``accept(u, mu)`` holds; until
     then it keeps taking Newton steps.  With ``lam=None`` the unknowns are
     (u, mu), mu seeded as <Vu, u>; otherwise mu is pinned to ``lam`` and the
     n+1 equations in u are solved by least squares.
@@ -511,7 +522,7 @@ def _unit_eigenpairs(A, cfg, seed, lam=None, accept=None):
                 u = z[:n] / nrm
                 mu = u @ square(u) if free else lam
                 res = np.linalg.norm(shifted(u, mu))
-                if res <= cfg.residual_tol and (accept is None or accept(u, mu)):
+                if res <= cfg.residual_tol and accept(u, mu):
                     yield u, mu, res
                     break
             H = residual(z)
@@ -550,13 +561,13 @@ def solve_real(A, cfg=None):
 
     def scaled(u, mu):
         coords = [*u, mu]
-        pivot = max(coords, key=abs)  # the first coordinate of largest modulus
+        pivot = coords[projective_pivot(A.field, coords)]
         return tuple(float(c / pivot) for c in coords)
 
     def accept(u, mu):
         return eigencheck(A, scaled(u, mu)[: A.dim]) is not None
 
-    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed, accept=accept):
+    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed, accept):
         return ProjectiveSolution(scaled(u, mu), trivial=False, residual=float(res))
     raise SearchExhausted(
         f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
@@ -589,7 +600,7 @@ def find_idempotent_real(A, cfg=None):
     def accept(u, mu):
         return 0 < abs(mu) <= 1e3 and is_idempotent(A, rescaled(u, mu))
 
-    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1, accept=accept):
+    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1, accept):
         return rescaled(u, mu)
     return None
 
@@ -604,7 +615,7 @@ def find_absolute_nilpotent_real(A, cfg=None):
     def accept(u, _):
         return is_absolute_nilpotent(A, tuple(map(float, u)))
 
-    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, lam=0.0, accept=accept):
+    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, accept, lam=0.0):
         return tuple(map(float, u))
     return None
 
@@ -642,17 +653,7 @@ def _subfield_count(E, rows, d):
 def count_solutions_extension(A_or_S, k):
     """Distinct projective solutions over F_{p^k} (multiplicities not counted),
     swept and verified on the GF(p) system as it stands (``_solution_rows``)."""
-    S = _as_system(A_or_S)
-    F = S.field
-    if not isinstance(F, PrimeField):
-        raise UnsupportedField("extension counting needs a prime base field")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    _check_budget(F.p**k, S.n)  # before GF(p^k) is built
-    # dimension 1 always counts 2, (1 : alpha) and the trivial point, over
-    # every extension, so GF(p^k) is never built for it
-    E = finite_field(F.p**k) if k > 1 and S.n > 1 else F
-    return len(_solution_rows(S, E)) + 1  # the rows and the trivial point
+    return len(_solution_rows(_as_system(A_or_S), k)[1]) + 1  # the rows and the trivial point
 
 
 class GenericityVerdict(Enum):
@@ -667,25 +668,21 @@ class ProbeReport(namedtuple("ProbeReport", "p counts verdict bound")):
 def genericity_probe(A_or_S, cfg=None):
     """Counts over F_{p^k}, k = 1..k_max, against the Bezout bound 2^n.
 
-    Only k in (k_max/2, k_max] is swept; each smaller d divides one such k, its
-    smallest multiple m, and counts the rows over F_{p^m} that Frobenius^d
-    fixes (``_subfield_count``).  A count above 2^n anywhere indicates a
-    positive-dimensional solution set; counts bounded by 2^n throughout are
-    consistent with finitely many solutions over the closure.  Verdicts are
-    heuristic, hence "Likely".  The budget is checked at k_max, the largest
-    sweep, before any is run.
+    Only k in (k_max/2, k_max] is swept, largest first, so the first sweep
+    checks the budget of them all before any is run (``_solution_rows``, which
+    also refuses a base field that is not prime).  Each smaller d divides one
+    such k, its smallest multiple m, and counts the rows over F_{p^m} that
+    Frobenius^d fixes (``_subfield_count``).  A count above 2^n anywhere
+    indicates a positive-dimensional solution set; counts bounded by 2^n
+    throughout are consistent with finitely many solutions over the closure.
+    Verdicts are heuristic, hence "Likely".
     """
     cfg = cfg if cfg is not None else SolveConfig()
     S = _as_system(A_or_S)
-    F = S.field
-    if not isinstance(F, PrimeField):
-        raise UnsupportedField("the genericity probe needs a prime base field")
-    _check_budget(F.p**cfg.k_max, S.n)
     bound = 2**S.n
     half, counts = cfg.k_max // 2, dict.fromkeys(range(1, cfg.k_max + 1))
-    for k in range(half + 1, cfg.k_max + 1):
-        E = finite_field(F.p**k) if k > 1 and S.n > 1 else F
-        rows = _solution_rows(S, E)
+    for k in range(cfg.k_max, half, -1):
+        E, rows = _solution_rows(S, k)
         counts[k] = len(rows) + 1
         for d in range(1, half + 1):
             if d * (half // d + 1) == k:
@@ -693,7 +690,7 @@ def genericity_probe(A_or_S, cfg=None):
     verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
     if max(counts.values()) <= bound:
         verdict = GenericityVerdict.LIKELY_GENERIC
-    return ProbeReport(F.p, counts, verdict, bound)
+    return ProbeReport(S.field.p, counts, verdict, bound)
 
 
 def draw_perturbation(F, n, rng):

@@ -449,6 +449,22 @@ def test_spectrum_all_of_f_with_both_witnesses():
     assert rep.sigma_p == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("q", [5, 3**40, 2**64 - 59])
+def test_spectrum_of_a_finite_dim1_algebra(q, monkeypatch):
+    # x*x = c*x for every x, so the one direction (1) has lam = c: with c = 0
+    # it is an absolute nilpotent, with c != 0 it rescales to the idempotent
+    # 1/c.  It is read without listing the field, whose indices for q = 3^40
+    # and the prime 2^64 - 59 do not fit int64.
+    F = finite_field(q)
+    monkeypatch.setattr(F, "elements", lambda: pytest.fail("the P^0 sweep listed the field"))
+    one = F.one()
+    rep = classify_spectrum(StructureTensor(F, [[[F.zero()]]]))
+    assert rep == SpectrumReport(frozenset({0}), SigmaDescription.ZERO_ONLY, None, (one,), True)
+    for c in (one, F.from_int(-2), F.scalar_from_index(q - 1)):
+        rep = classify_spectrum(StructureTensor(F, [[[c]]]))
+        assert rep == SpectrumReport(frozenset({1}), SigmaDescription.ALL_NONZERO, (F.inv(c),), None, True)
+
+
 def test_spectrum_report_is_an_immutable_record():
     rep = SpectrumReport.from_witnesses(idempotent=(1, 0), nilpotent=None, certified=True)
     assert rep == SpectrumReport(

@@ -381,6 +381,22 @@ def test_witness_budget_is_checked_before_the_field_is_built(capsys):
     assert main(["witness", "--field", f"gf:{10**20}"]) == 2
 
 
+def test_witness_budget_counts_the_char2_degree_before_the_field_is_built(monkeypatch, capsys):
+    # over GF(8) the witness a^9 - a^2 + 1 takes 8 * (9 + 1) = 80 Horner
+    # steps, not the q * (q + 1) = 72 of a degree-q witness: at a budget of 75
+    # it is refused before GF(8) is built
+    from quadalg import fields
+
+    monkeypatch.setattr(fields, "ENUMERATION_BUDGET", 75)
+    monkeypatch.setattr(cli, "finite_field", lambda q: pytest.fail(f"built GF({q})"))
+    assert main(["witness", "--field", "gf:8"]) == 6
+    assert "80 Horner steps" in capsys.readouterr().err
+    monkeypatch.setattr(fields, "ENUMERATION_BUDGET", 80)
+    monkeypatch.setattr(cli, "finite_field", finite_field)
+    assert main(["witness", "--field", "gf:8"]) == 0
+    assert "a^9 - a^2 + 1" in capsys.readouterr().out
+
+
 def test_witness_unsupported_field_exit_4(capsys):
     assert main(["witness", "--field", "real"]) == 4
     assert main(["witness", "--field", "laurent:q:16"]) == 4

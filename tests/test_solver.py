@@ -716,7 +716,7 @@ def test_verifier_names_a_planted_bad_row():
 
     F = finite_field(25)
     S = build_system(zero_algebra(F, 3))
-    rows = np.array(solver._solution_rows(S))
+    rows = np.array(solver._solution_rows(S)[1])
     bad = rows.copy()
     bad[100, -1] = 7  # lam != 0 at a point of the zero algebra
     pt = tuple(map(F.scalar_from_index, bad[100].tolist()))
@@ -761,7 +761,7 @@ def test_verifier_checks_a_system_without_tensor_from_its_forms():
     F = finite_field(9)
     S = build_system(random_structure_tensor(F, 3, random.Random(97)))
     bare = QuadraticSystem(F, S.n, S.forms)
-    rows = solver._solution_rows(S).tolist()
+    rows = solver._solution_rows(S)[1].tolist()
     assert [s.coords for s in solve_exhaustive(bare)] == [s.coords for s in solve_exhaustive(S)]
     for row in rows[:3] + [[1, 2, 3, 4], [0, 1, 5, 8]]:
         pt = tuple(map(F.scalar_from_index, row))
@@ -789,7 +789,7 @@ def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
                 ref = [pt for pt in projective_points(T.field, n) if T.is_solution(pt)]
                 assert [s.coords for s in solve_exhaustive(T)] == ref
                 assert count_solutions_extension(S, k) == len(ref)
-        rows = np.array(solver._solution_rows(build_system(zero_algebra(F5, 3))))
+        rows = np.array(solver._solution_rows(build_system(zero_algebra(F5, 3)))[1])
         rows[-1, -1] = 1  # lam = 1 at a point of the zero algebra
         with pytest.raises(RuntimeError):
             solver._verify_solutions(build_system(zero_algebra(F5, 3)), rows)
@@ -1072,6 +1072,19 @@ def test_extension_counts_require_prime_base():
         count_solutions_extension(zero_algebra(finite_field(4), 2), 2)
 
 
+def test_degree_1_counts_need_a_prime_base_too():
+    # a GF(9) algebra is swept as it stands by solve_exhaustive, but counting
+    # and the probe refuse it even at k = 1, where nothing would be built
+    A = zero_algebra(finite_field(9), 2)
+    with pytest.raises(UnsupportedField):
+        count_solutions_extension(A, 1)
+    with pytest.raises(UnsupportedField):
+        genericity_probe(A, SolveConfig(k_max=1))
+    assert len(solve_exhaustive(build_system(A))) == 11
+    with pytest.raises(ValueError):
+        count_solutions_extension(zero_algebra(F5, 2), 0)
+
+
 @pytest.mark.parametrize("k", [100, 150])
 def test_extension_count_checks_its_budget_before_building_the_field(k):
     # |P^1(F_{3^k})| is far past the budget: the count refuses before it
@@ -1114,12 +1127,13 @@ def test_extension_sweep_on_prime_indices_matches_the_rebuilt_system(p):
                 continue  # 10^5 or more directions a system
             for S in systems:
                 T = system_over(S, E)
-                want = solver._solution_rows(T)
+                want = solver._solution_rows(T)[1]
                 if (E.order ** (n + 1) - 1) // (E.order - 1) <= 3000:
                     ref = [pt for pt in projective_points(E, n) if T.is_solution(pt)]
                     assert [tuple(map(E.scalar_from_index, r)) for r in want.tolist()] == ref[:-1]
                 for U in (S, QuadraticSystem(S.field, n, S.forms)):
-                    rows = solver._solution_rows(U, E)
+                    swept, rows = solver._solution_rows(U, k)
+                    assert swept is E
                     assert rows.dtype == want.dtype and np.array_equal(rows, want), (p, n, k)
                     assert count_solutions_extension(U, k) == len(want) + 1
 
@@ -1134,7 +1148,7 @@ def test_extension_verifier_refuses_a_wrong_digit_above_digit_0(q):
     E = finite_field(q)
     p = E.base.p
     for S in _prime_systems(p, 2, random.Random(q)):
-        rows = solver._solution_rows(S, E)
+        rows = solver._solution_rows(S, E.degree)[1]
         for i in sorted({0, len(rows) // 2, len(rows) - 1}) if len(rows) else ():
             bad = rows.copy()
             bad[i, -1] = (bad[i, -1] + p) % q
@@ -1159,6 +1173,19 @@ def test_probe_checks_its_budget_before_any_sweep(monkeypatch):
     solver._check_budget(5**40, 1)
     probe = genericity_probe(StructureTensor(F5, [[[1]]]), SolveConfig(k_max=40))
     assert probe.counts == {k: 2 for k in range(1, 41)}
+
+
+def test_dim1_counts_build_no_extension_field(monkeypatch):
+    # x*x = c*x has the one direction (1 : c) and the trivial point over every
+    # GF(5^k): k = 100 is counted without building any field above GF(5)
+    built = solver.finite_field
+    monkeypatch.setattr(solver, "finite_field", lambda q: built(q) if q <= 5 else pytest.fail(f"built GF({q})"))
+    for c in (0, 3):
+        A = StructureTensor(F5, [[[c]]])
+        assert count_solutions_extension(A, 100) == 2
+        probe = genericity_probe(A, SolveConfig(k_max=100))
+        assert probe.counts == {k: 2 for k in range(1, 101)}
+        assert probe.verdict is GenericityVerdict.LIKELY_GENERIC
 
 
 def test_probe_descent_matches_direct_counts():
