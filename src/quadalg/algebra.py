@@ -17,6 +17,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import (
+    BudgetExceeded,
     CharTwo,
     DimensionMismatch,
     EvenOrTrivialDegree,
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedField,
     ZeroVector,
 )
-from .fields import ExtensionField, Polynomial, Rationals, Reals
+from .fields import ENUMERATION_BUDGET, ExtensionField, Polynomial, Rationals, Reals
 
 MAX_DIM = 16  # checked where a dimension arrives: files, counterexample moduli
 
@@ -399,12 +400,15 @@ def nonzero_vectors(field, n):
 def eigenvalue_set(A):
     """The full eigenvalue set of the squaring operator, by exhaustion (finite field).
 
-    A pure-Python sweep of all q^n vectors with no enumeration budget: the
-    slow reference that ``classify_spectrum`` is tested against.
+    A pure-Python sweep of all q^n - 1 nonzero vectors: the slow reference
+    that ``classify_spectrum`` is tested against.  It raises BudgetExceeded,
+    before the first vector, when they exceed ``fields.ENUMERATION_BUDGET``.
     """
     F = A.field
     if not F.finite:
         raise UnsupportedField("exhaustive eigenvalue set needs a finite field")
+    if (total := F.order**A.dim - 1) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{total} vectors exceed budget {ENUMERATION_BUDGET}")
     out = set()
     for x in nonzero_vectors(F, A.dim):
         lam = eigencheck(A, x)
@@ -465,8 +469,6 @@ def _report_from_solutions(A, sols):
     F = A.field
     idem = nil = None
     for sol in sols:
-        if sol.trivial:
-            continue
         x = sol.coords[:-1]
         lam = sol.coords[-1]
         if F.is_zero(lam):

@@ -23,11 +23,11 @@ file's "dim", or a counterexample modulus's degree minus one, above
 engine/field mismatch, unsupported field, or any other package
 error (characteristic two, a valuation violation, a division by zero, ...);
 5 reducible or even-degree modulus; 6 enumeration budget exceeded (a sweep,
-the q*(q+1) root search of ``witness`` over GF(q), or a rational root
-search); 7 internal error, with the traceback printed; 141 standard output
-closed before everything was written to it (128 + SIGPIPE, what a shell
-reports for a process that SIGPIPE ended).  Codes 0 and 1 come only from an
-engine run that completed.
+the q*(q+1) root search of ``witness`` over GF(q), q*(q+2) in
+characteristic 2, or a rational root search); 7 internal error, with the
+traceback printed; 141 standard output closed before everything was written
+to it (128 + SIGPIPE, what a shell reports for a process that SIGPIPE ended).
+Codes 0 and 1 come only from an engine run that completed.
 """
 
 import argparse

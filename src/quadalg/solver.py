@@ -4,12 +4,12 @@ For an n-dimensional algebra the eigenvector condition x*x = lam*x becomes
 n homogeneous quadratic forms in the n+1 projective unknowns
 (xi_1, ..., xi_n, lam):
 
-    g_j = sum_ik alpha[i][k][j] xi_i xi_k  -  lam xi_j   (optionally
-          minus eps_j * phi_j(x)^2 for a perturbed system)
+    g_j = sum_ik alpha[i][k][j] xi_i xi_k  -  lam xi_j
 
-The point (0 : ... : 0 : 1) always solves the unperturbed and perturbed
-system and is called trivial; every nontrivial solution yields an
-eigenvector.  Engines:
+A perturbed system, g_j - eps_j * phi_j(x)^2, is the system of the algebra
+alpha[i][k][j] - eps_j * phi_j[i] * phi_j[k] (``perturb_system``).  The
+point (0 : ... : 0 : 1) always solves the system and is called trivial;
+every nontrivial solution gives an eigenvector.  Engines:
 
 * ``solve_exhaustive``        -- sweep over a finite field (the oracle
                                  engine): lam is eliminated, so it sweeps the
@@ -109,18 +109,18 @@ class QuadraticSystem:
     """The n forms g_j as sparse quadratic monomial maps over n+1 variables.
 
     ``forms[j]`` maps a variable pair (i, k), i <= k, to its coefficient;
-    variable n is lam.  The source tensor is kept so solutions can be
-    re-verified through the squaring map, independently of this expansion.
+    variable n is lam.  The source tensor (for a perturbed system, the
+    perturbed one) is kept so solutions can be re-verified through the
+    squaring map, independently of this expansion.
     """
 
-    __slots__ = ("field", "n", "forms", "tensor", "perturbation")
+    __slots__ = ("field", "n", "forms", "tensor")
 
-    def __init__(self, field, n, forms, tensor=None, perturbation=None):
+    def __init__(self, field, n, forms, tensor=None):
         self.field = field
         self.n = n
         self.forms = tuple(dict(f) for f in forms)
         self.tensor = tensor
-        self.perturbation = perturbation
 
     def evaluate(self, point):
         """Values (g_1, ..., g_n) at a projective point of length n+1."""
@@ -142,14 +142,7 @@ class QuadraticSystem:
         F = self.field
         x, lam = point[: self.n], point[self.n]
         v = self.tensor.square(x)
-        out = [F.sub(v[j], F.mul(lam, x[j])) for j in range(self.n)]
-        if self.perturbation is not None:
-            for j, (eps, phi) in enumerate(self.perturbation):
-                lin = F.zero()
-                for i in range(self.n):
-                    lin = F.add(lin, F.mul(phi[i], x[i]))
-                out[j] = F.sub(out[j], F.mul(eps, F.mul(lin, lin)))
-        return tuple(out)
+        return tuple(F.sub(v[j], F.mul(lam, x[j])) for j in range(self.n))
 
     def is_solution(self, point):
         F = self.field
@@ -181,13 +174,18 @@ def build_system(A):
 
 
 def perturb_system(S, eps, phis):
-    """Forms g_j - eps_j * phi_j(x)^2; degree and the trivial solution survive.
+    """The system of the perturbed algebra alpha'[i][k][j] = alpha[i][k][j] -
+    eps_j * phi_j[i] * phi_j[k], that is the forms g_j - eps_j * phi_j(x)^2;
+    degree and the trivial solution survive, and since the result is again an
+    algebra's system, perturbations compose.
 
-    Over a Laurent-series field each eps_j must sit in the maximal ideal
-    (valuation offset >= 1) and each phi_j coefficient in the valuation ring.
+    S must carry its source tensor (ValueError otherwise).  Over a
+    Laurent-series field each eps_j must sit in the maximal ideal (valuation
+    offset >= 1) and each phi_j coefficient in the valuation ring.
     """
-    F = S.field
-    n = S.n
+    F, n = S.field, S.n
+    if S.tensor is None:
+        raise ValueError("system carries no source tensor")
     if len(eps) != n or len(phis) != n:
         raise DimensionMismatch("need one eps and one phi per form")
     if isinstance(F, LaurentSeries):
@@ -198,27 +196,15 @@ def perturb_system(S, eps, phis):
             for c in phi:
                 if c[1] and c[0] < 0:
                     raise ValuationViolation("phi coefficient has a pole")
-    two = F.from_int(2)
-    forms = []
-    for j in range(n):
-        form = dict(S.forms[j])
-        e = eps[j]
-        phi = tuple(phis[j])
-        if len(phi) != n:
-            raise DimensionMismatch("phi must have one coefficient per xi variable")
-        if not F.is_zero(e):
-            for i in range(n):
-                for k in range(i, n):
-                    c = F.mul(e, F.mul(phi[i], phi[k]))
-                    if i != k:
-                        c = F.mul(two, c)
-                    if F.is_zero(c):
-                        continue
-                    key = (i, k)
-                    form[key] = F.sub(form.get(key, F.zero()), c)
-        forms.append({k: v for k, v in form.items() if not F.is_zero(v)})
-    pert = tuple((eps[j], tuple(phis[j])) for j in range(n))
-    return QuadraticSystem(F, n, forms, tensor=S.tensor, perturbation=pert)
+    phis = [tuple(phi) for phi in phis]
+    if any(len(phi) != n for phi in phis):
+        raise DimensionMismatch("phi must have one coefficient per xi variable")
+    al = S.tensor.alpha
+    alpha = [
+        [[F.sub(al[i][k][j], F.mul(eps[j], F.mul(phis[j][i], phis[j][k]))) for j in range(n)] for k in range(n)]
+        for i in range(n)
+    ]
+    return build_system(StructureTensor(F, alpha))
 
 
 def affine_jacobian_at_origin(S):
@@ -278,9 +264,8 @@ def _verify_solutions(S, rows, E=None):
     structure tensor (multiplying by a constant is a k x k matrix over GF(p),
     ``linear``), exact since every partial sum is an integer below 2^53
     (``linear`` raises otherwise), and the values x*x - lam*x are reduced mod
-    p once.  A perturbation subtracts eps_j * phi_j(x)^2, that is
-    eps_j*phi_ji*phi_jl at the pair (i, l) of form j, its constants multiplied
-    on digits too.  A system with no tensor is checked the same way.
+    p once.  A perturbed system is checked on its perturbed tensor.  A system
+    with no tensor is checked the same way, on the coefficients of its forms.
     """
     if not len(rows):
         return
@@ -298,11 +283,6 @@ def _verify_solutions(S, rows, E=None):
     else:
         G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
         G[0, range(n), n, range(n)] = -1  # G is left unreduced: ``linear`` reduces it
-        if S.perturbation is not None:
-            eps = DS.scalar_digits([e for e, _ in S.perturbation])  # (k, j)
-            phi = DS.scalar_digits([cs for _, cs in S.perturbation])  # (k, j, i)
-            prods = DS.dmul(DS.dmul(eps[:, :, None], phi)[..., None] % DS.p, phi[:, :, None, :])
-            G[: DS.k, :n, :n] -= prods.transpose(0, 2, 3, 1).astype(np.int64)
     left, right, fold = _variable_pairs(n)
     C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
     used = C.any(axis=(0, 1))  # pairs in no term are dropped
@@ -468,13 +448,14 @@ def solve_exact_dim2(A):
 # without loading it.
 
 
-def _unit_eigenpairs(A, cfg, seed, accept, lam=None):
-    """Unit eigenpairs (u, mu, residual) of a real algebra, by multistart damped Newton.
+def _first_unit_eigenpair(A, cfg, seed, accept, lam=None):
+    """The first accepted unit eigenpair (u, mu, residual) of a real algebra,
+    by multistart damped Newton, or None once the restarts run out.
 
     Solves Vu - mu*u = 0, |u|^2 = 1 from unit starts drawn with ``seed``; a
-    restart yields at most one pair, once |Vu - mu*u| <= ``cfg.residual_tol``
-    at the normalized iterate and ``accept(u, mu)`` holds; until
-    then it keeps taking Newton steps.  With ``lam=None`` the unknowns are
+    restart returns its pair once |Vu - mu*u| <= ``cfg.residual_tol`` at the
+    normalized iterate and ``accept(u, mu)`` holds; until then it keeps
+    taking Newton steps.  With ``lam=None`` the unknowns are
     (u, mu), mu seeded as <Vu, u>; otherwise mu is pinned to ``lam`` and the
     n+1 equations in u are solved by least squares.
     """
@@ -523,8 +504,7 @@ def _unit_eigenpairs(A, cfg, seed, accept, lam=None):
                 mu = u @ square(u) if free else lam
                 res = np.linalg.norm(shifted(u, mu))
                 if res <= cfg.residual_tol and accept(u, mu):
-                    yield u, mu, res
-                    break
+                    return u, mu, res
             H = residual(z)
             J = jacobian(z)
             try:
@@ -545,12 +525,13 @@ def _unit_eigenpairs(A, cfg, seed, accept, lam=None):
             z = z + t * delta
             if not np.all(np.isfinite(z)):
                 break
+    return None
 
 
 def solve_real(A, cfg=None):
     """One eigenpair of a real algebra: the first pair of the unit eigen-search.
 
-    The search (``_unit_eigenpairs``, lam free and seeded as <Vx, x>) also
+    The search (``_first_unit_eigenpair``, lam free and seeded as <Vx, x>) also
     feeds the idempotent and absolute-nilpotent searches; restarts are
     deterministic for a fixed seed.  It accepts a pair once ``eigencheck``
     accepts the reported direction, scaled by its pivot, at the field's
@@ -567,11 +548,13 @@ def solve_real(A, cfg=None):
     def accept(u, mu):
         return eigencheck(A, scaled(u, mu)[: A.dim]) is not None
 
-    for u, mu, res in _unit_eigenpairs(A, cfg, cfg.seed, accept):
-        return ProjectiveSolution(scaled(u, mu), trivial=False, residual=float(res))
-    raise SearchExhausted(
-        f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
-    )
+    pair = _first_unit_eigenpair(A, cfg, cfg.seed, accept)
+    if pair is None:
+        raise SearchExhausted(
+            f"no eigenpair within {cfg.max_restarts} restarts (residual_tol={cfg.residual_tol})"
+        )
+    u, mu, res = pair
+    return ProjectiveSolution(scaled(u, mu), trivial=False, residual=float(res))
 
 
 def unit_eigenpair(A, sol):
@@ -600,9 +583,8 @@ def find_idempotent_real(A, cfg=None):
     def accept(u, mu):
         return 0 < abs(mu) <= 1e3 and is_idempotent(A, rescaled(u, mu))
 
-    for u, mu, _ in _unit_eigenpairs(A, cfg, cfg.seed + 1, accept):
-        return rescaled(u, mu)
-    return None
+    pair = _first_unit_eigenpair(A, cfg, cfg.seed + 1, accept)
+    return None if pair is None else rescaled(*pair[:2])
 
 
 def find_absolute_nilpotent_real(A, cfg=None):
@@ -615,9 +597,8 @@ def find_absolute_nilpotent_real(A, cfg=None):
     def accept(u, _):
         return is_absolute_nilpotent(A, tuple(map(float, u)))
 
-    for u, _, _ in _unit_eigenpairs(A, cfg, cfg.seed + 2, accept, lam=0.0):
-        return tuple(map(float, u))
-    return None
+    pair = _first_unit_eigenpair(A, cfg, cfg.seed + 2, accept, lam=0.0)
+    return None if pair is None else tuple(map(float, pair[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadalg import (
+    BudgetExceeded,
     CharTwo,
     DimensionMismatch,
     EvenOrTrivialDegree,
@@ -42,6 +43,7 @@ from quadalg import (
     unit_eigenpair,
     zero_algebra,
 )
+from quadalg import algebra
 from quadalg.algebra import flatten_element, is_zero_vector, nonzero_vectors
 
 Q = Rationals()
@@ -600,6 +602,21 @@ def test_trichotomy_on_random_extension_field_algebras(q):
     for commutative in (True, False):
         for _ in range(5):
             _check_trichotomy(random_structure_tensor(F, 2, rng, commutative=commutative))
+
+
+def test_eigenvalue_set_checks_its_budget_before_the_first_vector(monkeypatch):
+    # the diagonal GF(5) algebra at dim 2 has 5^2 - 1 = 24 nonzero vectors
+    A = StructureTensor(F5, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", 24)
+    assert eigenvalue_set(A) == {1, 2, 3, 4}
+    monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", 23)
+
+    def no_sweep(*_):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(algebra, "nonzero_vectors", no_sweep)
+    with pytest.raises(BudgetExceeded, match="24 vectors exceed budget 23"):
+        eigenvalue_set(A)
 
 
 @pytest.mark.parametrize(

@@ -84,16 +84,11 @@ def form_cubic(S):
 
 
 def system_over(S, E):
-    """The count oracle: the system of S's algebra built afresh over the
-    extension E, its tensor, eps and phi embedded and ``build_system`` and
-    ``perturb_system`` run in E's arithmetic."""
-    emb = E.embed
-    alpha = [[[emb(a) for a in row] for row in plane] for plane in S.tensor.alpha]
-    T = build_system(StructureTensor(E, alpha))
-    if S.perturbation is None:
-        return T
-    eps, phis = zip(*S.perturbation)
-    return perturb_system(T, [emb(e) for e in eps], [tuple(map(emb, phi)) for phi in phis])
+    """The count oracle: the system of S's algebra (for a perturbed system, the
+    perturbed algebra) built afresh over the extension E, its tensor embedded
+    and ``build_system`` run in E's arithmetic."""
+    alpha = [[[E.embed(a) for a in row] for row in plane] for plane in S.tensor.alpha]
+    return build_system(StructureTensor(E, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -1288,6 +1283,87 @@ def test_perturbation_valuation_guards():
         perturb_system(S, [L.one()], [(L.one(),)])  # eps is a unit, not in the ideal
     with pytest.raises(ValuationViolation):
         perturb_system(S, [L.gen()], [(L.series(-1, [1]),)])  # phi has a pole
+
+
+def perturbed_forms_by_expansion(S, eps, phis):
+    """The perturbation oracle: S's forms with eps_j * phi_j(x)^2 expanded into
+    form j, 2 eps_j phi_ji phi_jk at the pair i < k, then the sums the field
+    calls zero dropped."""
+    F, n = S.field, S.n
+    forms = [dict(form) for form in S.forms]
+    for form, e, phi in zip(forms, eps, phis):
+        for i in range(n):
+            for k in range(i, n):
+                c = F.mul(e, F.mul(phi[i], phi[k]))
+                form[(i, k)] = F.sub(form.get((i, k), F.zero()), c if i == k else F.add(c, c))
+    return [{key: c for key, c in form.items() if not F.is_zero(c)} for form in forms]
+
+
+def test_perturbed_forms_match_the_expanded_perturbation():
+    # eps_j = 0 for some forms of every other draw, and for all forms of
+    # every fifth
+    fields = [F5, finite_field(9), Q, LaurentSeries(Q, 8)]
+    rng = random.Random(101)
+    checked = 0
+    for F in fields:
+        for n in range(1, 5):
+            for draw in range(10):
+                S = build_system(random_structure_tensor(F, n, rng, commutative=draw % 3 == 0))
+                eps, phis = draw_perturbation(F, n, rng)
+                if draw % 5 == 0:
+                    eps = [F.zero()] * n
+                elif draw % 2:
+                    eps = [F.zero() if rng.random() < 0.5 else e for e in eps]
+                P = perturb_system(S, eps, phis)
+                assert list(P.forms) == perturbed_forms_by_expansion(S, eps, phis)
+                assert trivial_jacobian_check(P)
+                checked += 1
+    assert checked == 160
+
+
+def test_perturbations_compose():
+    # two perturbations in turn, against the points (x : lam) of P^n where
+    # x*x - lam*x - eps_j*phi_j(x)^2 - eps'_j*phi'_j(x)^2 vanishes: over GF(5)
+    # at n = 2 and 3, and counted over GF(25) at n = 2
+    rng = random.Random(103)
+    F25 = finite_field(25)
+    for n, draws in ((2, 10), (3, 4)):
+        for _ in range(draws):
+            A = random_structure_tensor(F5, n, rng, commutative=False)
+            pert = [draw_perturbation(F5, n, rng) for _ in range(2)]
+            P = build_system(A)
+            for eps, phis in pert:
+                P = perturb_system(P, eps, phis)
+            for E in (F5, F25)[: 4 - n]:
+                emb = E.embed if E is F25 else int
+
+                def solves(pt):
+                    x, lam = pt[:n], pt[n]
+                    for j in range(n):
+                        v = E.sub(E.zero(), E.mul(lam, x[j]))
+                        for i, k in itertools.product(range(n), repeat=2):
+                            v = E.add(v, E.mul(emb(A.alpha[i][k][j]), E.mul(x[i], x[k])))
+                        for eps, phis in pert:
+                            lin = E.zero()
+                            for c, xi in zip(phis[j], x):
+                                lin = E.add(lin, E.mul(emb(c), xi))
+                            v = E.sub(v, E.mul(emb(eps[j]), E.mul(lin, lin)))
+                        if not E.is_zero(v):
+                            return False
+                    return True
+
+                want = [pt for pt in projective_points(E, n) if solves(pt)]
+                if E is F5:
+                    assert [s.coords for s in solve_exhaustive(P)] == want
+                else:
+                    assert count_solutions_extension(P, 2) == len(want)
+
+
+def test_perturbing_a_system_without_tensor_is_refused():
+    S = build_system(diagonal_f5())
+    bare = QuadraticSystem(F5, S.n, S.forms)
+    with pytest.raises(ValueError, match="no source tensor"):
+        perturb_system(bare, [1, 1], [(1, 0), (0, 1)])
 
 
 def test_random_perturbation_mostly_generic_over_f5():
