@@ -293,16 +293,12 @@ def counterexample_algebra(F, f):
     if d - 1 > MAX_DIM:
         raise DimensionMismatch(f"dimension {d - 1} outside 1..{MAX_DIM}")
     phi = ExtensionField(F, f)  # raises ReducibleModulus if f factors
-    t = phi.gen()
-    pows = [phi.one()]
-    for _ in range(2 * (d - 1)):
-        pows.append(phi.mul(pows[-1], t))
     n = d - 1
     z = F.zero()
     alpha = [[[z] * n for _ in range(n)] for _ in range(n)]
     for a in range(1, d):
         for b in range(1, d):
-            s = pows[a + b]
+            s = phi.powers[a + b]
             for c in range(1, d):
                 alpha[a - 1][b - 1][c - 1] = s[c]
     return StructureTensor(F, alpha)
@@ -322,10 +318,6 @@ def restrict_scalars(A):
     e = phi.degree
     l = A.dim
     m = l * e
-    t = phi.gen()
-    pows = [phi.one()]
-    for _ in range(2 * e - 2):
-        pows.append(phi.mul(pows[-1], t))
     z = base.zero()
     alpha = [[[z] * m for _ in range(m)] for _ in range(m)]
     for a in range(l):
@@ -336,7 +328,7 @@ def restrict_scalars(A):
                     continue
                 for i in range(e):
                     for j in range(e):
-                        w = phi.mul(s0, pows[i + j])
+                        w = phi.mul(s0, phi.powers[i + j])
                         for k in range(e):
                             alpha[a * e + i][b * e + j][c * e + k] = w[k]
     return StructureTensor(base, alpha)

@@ -308,17 +308,24 @@ def cmd_witness(args):
     return 0
 
 
+def _probe_verdict(probe, out, head, **extra):
+    """Write the counting report (with ``extra`` keys appended), print the
+    counts after ``head`` and the verdict; exit 0 for a generic verdict, else 1."""
+    from . import solver as sv
+
+    _emit({**formats.counting_report(probe), **extra}, out)
+    counts = ", ".join(f"k={k}: {c}" for k, c in sorted(probe.counts.items()))
+    print(f"{head}counts: {counts}")
+    print(f"verdict: {probe.verdict.value}")
+    return 0 if probe.verdict is sv.GenericityVerdict.LIKELY_GENERIC else 1
+
+
 def cmd_bezout(args):
     A = _load_algebra(args.algebra)
     from . import solver as sv
 
     probe = sv.genericity_probe(A, _config(args))
-    report = formats.counting_report(probe)
-    _emit(report, args.out)
-    counts = ", ".join(f"k={k}: {c}" for k, c in sorted(probe.counts.items()))
-    print(f"p = {probe.p}, bound 2^n = {probe.bound}, counts: {counts}")
-    print(f"verdict: {probe.verdict.value}")
-    return 0 if probe.verdict is sv.GenericityVerdict.LIKELY_GENERIC else 1
+    return _probe_verdict(probe, args.out, f"p = {probe.p}, bound 2^n = {probe.bound}, ")
 
 
 def cmd_perturb(args):
@@ -333,16 +340,14 @@ def cmd_perturb(args):
     rng = random.Random(seed)
     eps, phis = sv.draw_perturbation(F, A.dim, rng)
     S = sv.perturb_system(sv.build_system(A), eps, phis)
-    probe = sv.genericity_probe(S, cfg)
-    report = formats.counting_report(probe)
-    report["seed"] = seed
-    report["eps"] = [F.scalar_to_json(e) for e in eps]
-    report["phis"] = [[F.scalar_to_json(c) for c in phi] for phi in phis]
-    _emit(report, args.out)
-    counts = ", ".join(f"k={k}: {c}" for k, c in sorted(probe.counts.items()))
-    print(f"perturbed counts: {counts}")
-    print(f"verdict: {probe.verdict.value}")
-    return 0 if probe.verdict is sv.GenericityVerdict.LIKELY_GENERIC else 1
+    return _probe_verdict(
+        sv.genericity_probe(S, cfg),
+        args.out,
+        "perturbed ",
+        seed=seed,
+        eps=[F.scalar_to_json(e) for e in eps],
+        phis=[[F.scalar_to_json(c) for c in phi] for phi in phis],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +380,7 @@ def build_parser():
     p = sub.add_parser("check", help="classify one element of an algebra")
     p.add_argument("algebra", help="algebra JSON file")
     p.add_argument("element", help="element as a JSON array")
-    p.add_argument("--out", help="write the JSON report here")
+    add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="find projective solutions of the eigenvector system")

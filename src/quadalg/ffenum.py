@@ -42,7 +42,8 @@ _CHUNK = 1 << 15
 
 class _PolyOps:
     """GF(p^k) on the k base-p digits of each index, digit s along axis 0, from
-    the modulus f alone; GF(p) is the case k = 1, f = t.
+    the powers of t mod the modulus f alone (``ExtensionField.powers``); GF(p)
+    is the case k = 1, f = t.
 
     Multiplying by a = sum of a_u t^u is the k x k matrix M(a) = sum of a_u
     T_u over GF(p), where column s of T_u, the matrix of y -> t^u * y, holds
@@ -60,14 +61,8 @@ class _PolyOps:
         import numpy as np
 
         self.prime = isinstance(F, PrimeField)
-        p, f = (F.p, (0, 1)) if self.prime else (F.base.p, F.modulus)
-        k = len(f) - 1
-        # t^e mod f for e < 2k - 1: t * t^e shifts the digits up a place and
-        # folds the top one by t^k = -(f_0 + ... + f_{k-1} t^(k-1))
-        powers = [[int(s == e) for s in range(k)] for e in range(k)]
-        for _ in range(k - 1):
-            top = powers[-1]
-            powers.append([(lo - top[-1] * c) % p for lo, c in zip([0] + top[:-1], f)])
+        p, powers = (F.p, [[1]]) if self.prime else (F.base.p, F.powers)  # t^e mod f, e < 2k - 1
+        k = len(powers[0])
         ar = np.arange(k)
         self.p, self.k, self.place = p, k, p**ar
         powers = np.array(powers, dtype=np.float64)

@@ -459,6 +459,10 @@ class ExtensionField(Field):
     prime below 100 for higher degree).
 
     `mul` multiplies and reduces polynomials and `inv` runs extended Euclid.
+    `powers[e]` is t^e for e <= 2*degree - 2, the top degree of a product of
+    two scalars before reduction: t * t^e shifts the coefficients up a place
+    and folds the top one by t^degree = -(f_0 + ... + f_{degree-1}
+    t^(degree-1)), O(degree) base operations a power.
     """
 
     kind = "ext"
@@ -484,6 +488,12 @@ class ExtensionField(Field):
         self._p = base.p if isinstance(base, PrimeField) else None
         self._zero = self._pad([])
         self._one = self._pad([base.one()])
+        powers = [self._pad([base.zero()] * e + [base.one()]) for e in range(self.degree)]
+        for _ in range(self.degree - 1):
+            top = powers[-1]
+            shifted = (base.zero(),) + top[:-1]  # zip drops the modulus's lead 1
+            powers.append(tuple(base.sub(lo, base.mul(top[-1], c)) for lo, c in zip(shifted, coeffs)))
+        self.powers = tuple(powers)
 
     finite = property(lambda self: self.base.finite)
 

@@ -6,6 +6,9 @@ n homogeneous quadratic forms in the n+1 projective unknowns
 
     g_j = sum_ik alpha[i][k][j] xi_i xi_k  -  lam xi_j
 
+A system is built from the structure tensor alone (``QuadraticSystem``, or
+``build_system``), and every list of forms Q_j(x) - lam xi_j is some
+algebra's system: Q_j's xi_i xi_k coefficient at alpha[i][k][j], i <= k.
 A perturbed system, g_j - eps_j * phi_j(x)^2, is the system of the algebra
 alpha[i][k][j] - eps_j * phi_j[i] * phi_j[k] (``perturb_system``).  The
 point (0 : ... : 0 : 1) always solves the system and is called trivial;
@@ -28,7 +31,7 @@ every nontrivial solution gives an eigenvector.  Engines:
 
 Every solution a sweep returns is re-verified through an evaluation route
 independent of the engine that produced it: the finite-field rows on arrays,
-from the structure tensor (``_verify_solutions``).
+from the system's structure tensor (``_verify_solutions``).
 """
 
 import math
@@ -106,21 +109,36 @@ def normalize_point(F, coords):
 
 
 class QuadraticSystem:
-    """The n forms g_j as sparse quadratic monomial maps over n+1 variables.
+    """The eigenvector system of an algebra, built from its structure tensor
+    alone: the n forms g_j as sparse quadratic monomial maps over n+1
+    variables, with the trivial solution built in.
 
     ``forms[j]`` maps a variable pair (i, k), i <= k, to its coefficient;
-    variable n is lam.  The source tensor (for a perturbed system, the
-    perturbed one) is kept so solutions can be re-verified through the
-    squaring map, independently of this expansion.
+    variable n is lam.  Form j holds -1 at (j, n) and, at each pair i <= k
+    where it is nonzero, alpha[i][i][j] if i = k, else alpha[i][k][j] +
+    alpha[k][i][j], an entry the field calls zero dropped before the pair is
+    summed; so every form reads g_j = Q_j(x) - lam*x_j.  The order of a form's
+    keys is not part of the contract.  The tensor is kept so solutions can be
+    re-verified through the squaring map, independently of this expansion.
     """
 
     __slots__ = ("field", "n", "forms", "tensor")
 
-    def __init__(self, field, n, forms, tensor=None):
-        self.field = field
-        self.n = n
-        self.forms = tuple(dict(f) for f in forms)
-        self.tensor = tensor
+    def __init__(self, A):
+        F, n, al = A.field, A.dim, A.alpha
+        is_zero, mone = F.is_zero, F.neg(F.one())
+        forms = []
+        for j in range(n):
+            form = {}
+            for i in range(n):
+                for k in range(i, n):
+                    a, b = al[i][k][j], al[k][i][j]
+                    c = b if is_zero(a) else a if i == k or is_zero(b) else F.add(a, b)
+                    if not is_zero(c):
+                        form[(i, k)] = c
+            form[(j, n)] = mone
+            forms.append(form)
+        self.field, self.n, self.forms, self.tensor = F, n, tuple(forms), A
 
     def evaluate(self, point):
         """Values (g_1, ..., g_n) at a projective point of length n+1."""
@@ -137,8 +155,6 @@ class QuadraticSystem:
 
     def residual_via_tensor(self, point):
         """Same values computed from the structure tensor (independent route)."""
-        if self.tensor is None:
-            raise ValueError("system carries no source tensor")
         F = self.field
         x, lam = point[: self.n], point[self.n]
         v = self.tensor.square(x)
@@ -150,27 +166,8 @@ class QuadraticSystem:
 
 
 def build_system(A):
-    """The eigenvector system of an algebra, with the trivial solution built in.
-
-    Form j holds -1 at (j, n) and, at each pair i <= k where it is nonzero,
-    alpha[i][i][j] if i = k, else alpha[i][k][j] + alpha[k][i][j], an entry
-    the field calls zero dropped before the pair is summed.  The order of a
-    form's keys is not part of the contract.
-    """
-    F, n, al = A.field, A.dim, A.alpha
-    is_zero, mone = F.is_zero, F.neg(F.one())
-    forms = []
-    for j in range(n):
-        form = {}
-        for i in range(n):
-            for k in range(i, n):
-                a, b = al[i][k][j], al[k][i][j]
-                c = b if is_zero(a) else a if i == k or is_zero(b) else F.add(a, b)
-                if not is_zero(c):
-                    form[(i, k)] = c
-        form[(j, n)] = mone
-        forms.append(form)
-    return QuadraticSystem(F, n, forms, tensor=A)
+    """The eigenvector system of an algebra (``QuadraticSystem``)."""
+    return QuadraticSystem(A)
 
 
 def perturb_system(S, eps, phis):
@@ -179,13 +176,10 @@ def perturb_system(S, eps, phis):
     degree and the trivial solution survive, and since the result is again an
     algebra's system, perturbations compose.
 
-    S must carry its source tensor (ValueError otherwise).  Over a
-    Laurent-series field each eps_j must sit in the maximal ideal (valuation
-    offset >= 1) and each phi_j coefficient in the valuation ring.
+    Over a Laurent-series field each eps_j must sit in the maximal ideal
+    (valuation offset >= 1) and each phi_j coefficient in the valuation ring.
     """
     F, n = S.field, S.n
-    if S.tensor is None:
-        raise ValueError("system carries no source tensor")
     if len(eps) != n or len(phis) != n:
         raise DimensionMismatch("need one eps and one phi per form")
     if isinstance(F, LaurentSeries):
@@ -218,19 +212,16 @@ def affine_jacobian_at_origin(S):
 
 
 def trivial_jacobian_check(S):
-    """True iff the affine Jacobian at the origin is minus the identity.
+    """True iff ``affine_jacobian_at_origin`` is minus the identity.
 
-    This holds analytically for every system built here (the only linear part
-    of f_j is -xi_j, and perturbations vanish to second order), so the check
-    validates the implementation rather than the mathematics.
+    This holds by construction for every ``QuadraticSystem`` (the only linear
+    part of f_j is -xi_j, and perturbations vanish to second order), so the
+    check validates the implementation rather than the mathematics.
     """
-    F, n = S.field, S.n
+    F = S.field
     zero, mone = F.zero(), F.neg(F.one())
-    return all(
-        F.eq(form.get((i, n), zero), mone if i == j else zero)
-        for j, form in enumerate(S.forms)
-        for i in range(n)
-    )
+    J = affine_jacobian_at_origin(S)
+    return all(F.eq(c, mone if i == j else zero) for j, row in enumerate(J) for i, c in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +255,7 @@ def _verify_solutions(S, rows, E=None):
     structure tensor (multiplying by a constant is a k x k matrix over GF(p),
     ``linear``), exact since every partial sum is an integer below 2^53
     (``linear`` raises otherwise), and the values x*x - lam*x are reduced mod
-    p once.  A perturbed system is checked on its perturbed tensor.  A system
-    with no tensor is checked the same way, on the coefficients of its forms.
+    p once.  A perturbed system is checked on its perturbed tensor.
     """
     if not len(rows):
         return
@@ -276,13 +266,8 @@ def _verify_solutions(S, rows, E=None):
     # G[:, i, l, j]: the digits of the coefficient of x_i*x_l in g_j, where
     # variable n is lam
     G = np.zeros((D.k, n + 1, n + 1, n), dtype=np.int64)
-    if S.tensor is None:
-        for j, form in enumerate(S.forms):
-            for (i, l), c in form.items():
-                G[: DS.k, i, l, j] = DS.scalar_digits(c)
-    else:
-        G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
-        G[0, range(n), n, range(n)] = -1  # G is left unreduced: ``linear`` reduces it
+    G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
+    G[0, range(n), n, range(n)] = -1  # G is left unreduced: ``linear`` reduces it
     left, right, fold = _variable_pairs(n)
     C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
     used = C.any(axis=(0, 1))  # pairs in no term are dropped
@@ -299,13 +284,6 @@ def _verify_solutions(S, rows, E=None):
             raise RuntimeError(f"engine returned a non-solution {pt!r}")
 
 
-def _require_eigen_form(S):
-    """Raise unless every form reads g_j = Q_j(x) - lam*x_j, lam-free Q_j."""
-    n = S.n
-    if not trivial_jacobian_check(S) or any((n, n) in form for form in S.forms):
-        raise ValueError(f"form j must read Q_j(x) - lam*x_j, its lam terms {{(j, {n}): -1}}")
-
-
 def _check_budget(q, n):
     """Raise BudgetExceeded unless the |P^{n-1}| + 1 points a sweep over GF(q) counts fit."""
     if (total := (q**n - 1) // (q - 1) + 1) > ENUMERATION_BUDGET:
@@ -318,8 +296,8 @@ def _solution_rows(S, k=None):
 
     E is S.field, or with k given GF(p^k) over the prime S.field
     (UnsupportedField otherwise, ValueError for k < 1), where S's form indices
-    stand.  Each form must read g_j = Q_j(x) - lam*x_j (ValueError otherwise),
-    so x != 0 solves the system exactly when Q(x) = lam*x, with lam =
+    stand.  Each form reads g_j = Q_j(x) - lam*x_j (``QuadraticSystem``), so
+    x != 0 solves the system exactly when Q(x) = lam*x, with lam =
     Q_lead(x) at the leftmost nonzero coordinate of x (scaled to 1).
     ``fields.ENUMERATION_BUDGET`` bounds the points swept, |P^{n-1}(E)| + 1
     (``_check_budget``), and with them the sweep's time; it is checked before
@@ -342,10 +320,9 @@ def _solution_rows(S, k=None):
         raise UnsupportedField("extension counts need a prime base field")
     elif k < 1:
         raise ValueError("extension degree must be >= 1")
-    _require_eigen_form(S)
     _check_budget(F.order**k, S.n)
     if S.n == 1:
-        return F, np.array([[1, F.scalar_index(S.forms[0].get((0, 0), F.zero()))]], dtype=object)
+        return F, np.array([[1, F.scalar_index(S.tensor.alpha[0][0][0])]], dtype=object)
     E = finite_field(F.p**k) if k > 1 else F
     forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
     rows = ffenum.solve_system(E, S.n, forms_idx)

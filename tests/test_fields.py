@@ -72,6 +72,24 @@ def test_extension_mul_reduces_by_modulus():
     assert F27.mul(t2, t) == (1, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "F",
+    [
+        finite_field(125),
+        finite_field(256),
+        ExtensionField(Q, [-2, 0, 0, 1]),  # t^3 - 2
+        ExtensionField(finite_field(9), [-1, -1, 0, 0, 0, 1]),  # t^5 - t - 1 over GF(9)
+    ],
+    ids=repr,
+)
+def test_power_table_is_t_multiplied_in_by_mul(F):
+    t, x = F.gen(), F.one()
+    assert len(F.powers) == 2 * F.degree - 1
+    for e, power in enumerate(F.powers):
+        assert power == x, e
+        x = F.mul(x, t)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         Q.div(Fraction(1), Fraction(0))

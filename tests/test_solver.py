@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,6 @@ from quadalg import (
     LaurentSeries,
     Polynomial,
     PrimeField,
-    QuadraticSystem,
     Rationals,
     Reals,
     SearchExhausted,
@@ -209,24 +209,21 @@ def test_jacobian_minus_identity_survives_perturbation():
 
 
 def test_jacobian_check_detects_a_broken_system():
-    # drop the -lambda*xi_j terms: the Jacobian at the origin becomes zero
-    A = diagonal_f5()
-    S = build_system(A)
-    broken = QuadraticSystem(
-        F5, 2, [{k: v for k, v in f.items() if k[1] != 2} for f in S.forms]
-    )
+    # every QuadraticSystem reads Q_j(x) - lam*xi_j by construction, so the
+    # broken forms stand on an object with the attributes the check reads
+    S = build_system(diagonal_f5())
+
+    def system(forms):
+        return SimpleNamespace(field=F5, n=2, forms=forms)
+
+    # dropping the -lambda*xi_j terms makes the Jacobian at the origin zero
+    broken = system([{k: v for k, v in f.items() if k[1] != 2} for f in S.forms])
     # a lam coefficient of 2 at (0, n), and an extra (1, n) term in form 0
-    doubled = QuadraticSystem(F5, 2, [{**S.forms[0], (0, 2): 2}, S.forms[1]])
-    extra = QuadraticSystem(F5, 2, [{**S.forms[0], (1, 2): 1}, S.forms[1]])
-    for system in (broken, doubled, extra):
-        assert not trivial_jacobian_check(system)
-        # the lam-eliminating sweep refuses forms not reading Q_j(x) - lam*xi_j
-        with pytest.raises(ValueError, match="lam terms"):
-            solve_exhaustive(system)
-    # a lam^2 term leaves the Jacobian at the origin alone, but not the sweep
-    squared = QuadraticSystem(F5, 2, [{**S.forms[0], (2, 2): 1}, S.forms[1]])
-    with pytest.raises(ValueError, match="lam terms"):
-        solve_exhaustive(squared)
+    doubled = system([{**S.forms[0], (0, 2): 2}, S.forms[1]])
+    extra = system([{**S.forms[0], (1, 2): 1}, S.forms[1]])
+    assert trivial_jacobian_check(system(S.forms))
+    for bad in (broken, doubled, extra):
+        assert not trivial_jacobian_check(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +534,6 @@ def test_sweep_reads_a_pair_in_either_order_and_sums_repeats(q, n):
 
     rows = ffenum.solve_system(F, n, index(split))
     assert len(rows) and rows.tolist() == ffenum.solve_system(F, n, index(S.forms)).tolist()
-    solver._verify_solutions(QuadraticSystem(F, n, split), rows)
 
 
 def test_digit_matrix_refuses_sums_past_2_53():
@@ -750,17 +746,6 @@ def test_verifier_has_no_int64_overflow_near_1e7():
         for T in (S, P):
             for row in rows:
                 assert _verifier_accepts(T, [row]) == _solves_via_tensor(T, row), row
-
-
-def test_verifier_checks_a_system_without_tensor_from_its_forms():
-    F = finite_field(9)
-    S = build_system(random_structure_tensor(F, 3, random.Random(97)))
-    bare = QuadraticSystem(F, S.n, S.forms)
-    rows = solver._solution_rows(S)[1].tolist()
-    assert [s.coords for s in solve_exhaustive(bare)] == [s.coords for s in solve_exhaustive(S)]
-    for row in rows[:3] + [[1, 2, 3, 4], [0, 1, 5, 8]]:
-        pt = tuple(map(F.scalar_from_index, row))
-        assert _verifier_accepts(bare, [row]) == bare.is_solution(pt)
 
 
 def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
@@ -1107,10 +1092,9 @@ def _prime_systems(p, n, rng):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_extension_sweep_on_prime_indices_matches_the_rebuilt_system(p):
     # a GF(p) system swept over GF(p^k) on its own indices returns, array for
-    # array, the rows of the system rebuilt over GF(p^k) (``system_over``); so
-    # does a hand-built system with the same forms and no tensor, verified
-    # from its forms.  Where P^n(GF(p^k)) is small, the rows are also the
-    # points that solve the rebuilt system in scalar arithmetic.
+    # array, the rows of the system rebuilt over GF(p^k) (``system_over``).
+    # Where P^n(GF(p^k)) is small, the rows are also the points that solve
+    # the rebuilt system in scalar arithmetic.
     import numpy as np
 
     rng = random.Random(p)
@@ -1126,11 +1110,10 @@ def test_extension_sweep_on_prime_indices_matches_the_rebuilt_system(p):
                 if (E.order ** (n + 1) - 1) // (E.order - 1) <= 3000:
                     ref = [pt for pt in projective_points(E, n) if T.is_solution(pt)]
                     assert [tuple(map(E.scalar_from_index, r)) for r in want.tolist()] == ref[:-1]
-                for U in (S, QuadraticSystem(S.field, n, S.forms)):
-                    swept, rows = solver._solution_rows(U, k)
-                    assert swept is E
-                    assert rows.dtype == want.dtype and np.array_equal(rows, want), (p, n, k)
-                    assert count_solutions_extension(U, k) == len(want) + 1
+                swept, rows = solver._solution_rows(S, k)
+                assert swept is E
+                assert rows.dtype == want.dtype and np.array_equal(rows, want), (p, n, k)
+                assert count_solutions_extension(S, k) == len(want) + 1
 
 
 @pytest.mark.parametrize("q", [9, 27, 125, 2401, 5**7])
@@ -1151,8 +1134,6 @@ def test_extension_verifier_refuses_a_wrong_digit_above_digit_0(q):
             pt = tuple(map(E.scalar_from_index, bad[i].tolist()))
             with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
                 solver._verify_solutions(S, bad, E)
-            with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
-                solver._verify_solutions(QuadraticSystem(S.field, 2, S.forms), bad, E)
 
 
 def test_probe_checks_its_budget_before_any_sweep(monkeypatch):
@@ -1357,13 +1338,6 @@ def test_perturbations_compose():
                     assert [s.coords for s in solve_exhaustive(P)] == want
                 else:
                     assert count_solutions_extension(P, 2) == len(want)
-
-
-def test_perturbing_a_system_without_tensor_is_refused():
-    S = build_system(diagonal_f5())
-    bare = QuadraticSystem(F5, S.n, S.forms)
-    with pytest.raises(ValueError, match="no source tensor"):
-        perturb_system(bare, [1, 1], [(1, 0), (0, 1)])
 
 
 def test_random_perturbation_mostly_generic_over_f5():
