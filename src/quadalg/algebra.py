@@ -431,7 +431,7 @@ def classify_spectrum(A, cfg=None):
     if F.finite:
         import numpy as np
 
-        _, rows = solver._solution_rows(solver.build_system(A))
+        _, rows = solver._solution_rows(A)
         # only the first row with lam = 0 and the first with lam != 0 are read
         zero = rows[:, -1] == 0
         rows = rows[sorted(int(np.argmax(z)) for z in (zero, ~zero) if z.any())].tolist()

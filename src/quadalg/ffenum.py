@@ -5,6 +5,9 @@ residue itself, for GF(p^k) it is sum(c_i * p^i) over the coefficient tuple.
 Index 0 is zero and index 1 is one in both cases, and c < p is the constant c
 in every GF(p^k).
 
+The sweep reads an algebra's structure tensor alpha, as digits, and folds
+it into the squaring map Q(x) = x*x: the x_i*x_l coefficient of Q_j is
+alpha[i][i][j] for i = l and alpha[i][l][j] + alpha[l][i][j] for i < l.
 A direction x of P^{n-1}, leftmost nonzero coordinate x_lead = 1, solves the
 eigenvector system g_j = Q_j(x) - lam*x_j exactly when Q(x) = lam*x with
 lam = Q_lead(x).  ``solve_system`` sweeps every direction in one loop, in
@@ -271,15 +274,15 @@ def _tiles(F, ops, n, m):
         yield _tile(F, ops, n, m, np.arange(0), blk, True)
 
 
-def solve_system(F, n, forms_idx):
+def solve_system(F, n, T):
     """Index rows of the nontrivial projective solutions, in canonical order.
 
     The rows form an (m, n+1) int64 array, one row (x_1, ..., x_n, lam) per
-    solution.  ``forms_idx[j]`` maps variable pairs to coefficient indices and
-    must have the shape g_j = Q_j(x) - lam*x_j; only its quadratic part Q_j
-    (the keys without variable n) is read.  A key may name its pair in either
-    order, (i, l) or (l, i), and a pair given both ways is summed.  The sweep,
-    tile by tile (``_tiles``), is the one the module docstring describes.
+    solution of x*x = lam*x in the algebra whose structure constants
+    alpha[i][l][j] have the base-p digits T[:, i, l, j], T an int64 array of
+    shape (k', n, n, n): F's k digits, or k' < k low ones, the constants then
+    lying in a subfield whose indices stand in F.  The sweep, tile by tile
+    (``_tiles``), is the one the module docstring describes.
     """
     import numpy as np
 
@@ -287,18 +290,12 @@ def solve_system(F, n, forms_idx):
     k = ops.k
     m = _suffix_size(F.order, n, k)
     nu = n - m
-    # G[:, j, i, l], i <= l < n: the digits of the coefficient of x_i*x_l in
-    # Q_j, keys (i, l) and (l, i) summed (keys with lam, variable n, land at
-    # l = n and are not read)
-    at, c, N = [], [], n + 1
-    for j, form in enumerate(forms_idx):
-        for (i, l), v in form.items():
-            at.append(j * N * N + (i * N + l if i <= l else l * N + i))
-            c.append(v)
-    G = np.zeros((k, n * N * N), dtype=np.int64)
-    at, c = np.array(at, dtype=np.intp), np.array(c, dtype=np.int64)
-    np.add.at(G, (slice(None), at), ops.digits(c))
-    G = G.reshape(k, n, N, N)
+    # G[:, j, i, l], i <= l: the digits of the coefficient of x_i*x_l in Q_j,
+    # alpha[i][i][j] on the diagonal and alpha[i][l][j] + alpha[l][i][j]
+    # above it (left unreduced: ``linear`` reduces it)
+    G = np.zeros((k, n, n, n), dtype=np.int64)
+    G[: len(T)] = T.transpose(0, 3, 1, 2)
+    G += np.triu(G.swapaxes(-1, -2), 1)
     (lu, ru), (lw, rw) = _pairs(nu), _pairs(m)
     Ww = ops.linear(G[:, :, nu + lw, nu + rw])
     # Wu maps a prefix operand (u, its pair products) to the coefficients of

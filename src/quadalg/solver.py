@@ -29,9 +29,9 @@ every nontrivial solution gives an eigenvector.  Engines:
                                  bounded-count heuristic, which reads k <=
                                  k_max/2 off the larger sweeps by Frobenius
 
-Every solution a sweep returns is re-verified through an evaluation route
-independent of the engine that produced it: the finite-field rows on arrays,
-from the system's structure tensor (``_verify_solutions``).
+The finite-field sweep reads the algebra's structure tensor, not the forms,
+and every row it returns is re-verified on arrays from the same tensor by a
+check that folds and evaluates it its own way (``_verify_solutions``).
 """
 
 import math
@@ -118,8 +118,10 @@ class QuadraticSystem:
     where it is nonzero, alpha[i][i][j] if i = k, else alpha[i][k][j] +
     alpha[k][i][j], an entry the field calls zero dropped before the pair is
     summed; so every form reads g_j = Q_j(x) - lam*x_j.  The order of a form's
-    keys is not part of the contract.  The tensor is kept so solutions can be
-    re-verified through the squaring map, independently of this expansion.
+    keys is not part of the contract.  The forms are a scalar view of
+    ``tensor`` that only ``evaluate``, ``is_solution`` and
+    ``affine_jacobian_at_origin`` read; the finite-field engine reads the
+    tensor itself.
     """
 
     __slots__ = ("field", "n", "forms", "tensor")
@@ -243,30 +245,32 @@ def _variable_pairs(n):
     return left, right, fold
 
 
-def _verify_solutions(S, rows, E=None):
-    """Raise RuntimeError, naming the point, unless every index row solves S.
+def _verify_solutions(T, rows, E):
+    """Raise RuntimeError, naming the point, unless every index row solves
+    x*x = lam*x in the algebra of T.
 
-    The rows, an (m, n+1) int64 array, index E: S.field, or GF(p^k) over a
-    prime S.field, whose low digit holds S's constants.  They are checked in
-    chunks of about ``ffenum._CHUNK`` int64s on base-p digit arrays, with
-    the sweep's float64 kernel (``ffenum.digit_ops``, from the modulus): the
-    pair products x_i*x_l and lam*x_j (``dmul``), brought under p
-    (``reduce``), go through one matmul against a matrix built from the
-    structure tensor (multiplying by a constant is a k x k matrix over GF(p),
-    ``linear``), exact since every partial sum is an integer below 2^53
-    (``linear`` raises otherwise), and the values x*x - lam*x are reduced mod
-    p once.  A perturbed system is checked on its perturbed tensor.
+    T holds the base-p digits of the structure constants, T[:, i, l, j] those
+    of alpha[i][l][j] (``ffenum.digit_ops(F).scalar_digits``), and the rows,
+    an (m, n+1) int64 array, index E: F, or GF(p^k) over a prime F, whose
+    low digit holds F's constants.  The rows are checked in chunks of about
+    ``ffenum._CHUNK`` int64s on base-p digit arrays, with the sweep's float64
+    kernel (``ffenum.digit_ops``, from the modulus) but not its fold or its
+    tiles: the pair products x_i*x_l and lam*x_j (``dmul``), brought under p
+    (``reduce``), go through one matmul against a matrix that sums
+    alpha[i][l][j] and alpha[l][i][j] by a 0/1 matmul (``_variable_pairs``;
+    multiplying by a constant is a k x k matrix over GF(p), ``linear``),
+    exact since every partial sum is an integer below 2^53 (``linear`` raises
+    otherwise), and the values x*x - lam*x are reduced mod p once.
     """
     if not len(rows):
         return
     import numpy as np
 
-    E, n = E or S.field, S.n
-    D, DS = ffenum.digit_ops(E), ffenum.digit_ops(S.field)
+    n, D = T.shape[1], ffenum.digit_ops(E)
     # G[:, i, l, j]: the digits of the coefficient of x_i*x_l in g_j, where
     # variable n is lam
     G = np.zeros((D.k, n + 1, n + 1, n), dtype=np.int64)
-    G[: DS.k, :n, :n] = DS.scalar_digits(S.tensor.alpha)
+    G[: len(T), :n, :n] = T
     G[0, range(n), n, range(n)] = -1  # G is left unreduced: ``linear`` reduces it
     left, right, fold = _variable_pairs(n)
     C = G.reshape(D.k, (n + 1) ** 2, n).transpose(0, 2, 1) @ fold  # (k, form, pair)
@@ -290,28 +294,30 @@ def _check_budget(q, n):
         raise BudgetExceeded(f"{total} projective points exceed budget {ENUMERATION_BUDGET}")
 
 
-def _solution_rows(S, k=None):
+def _solution_rows(A, k=None):
     """The field E swept and the index rows (x : lam) over E of the nontrivial
-    solutions, verified.
+    solutions of x*x = lam*x in the algebra A, verified.
 
-    E is S.field, or with k given GF(p^k) over the prime S.field
-    (UnsupportedField otherwise, ValueError for k < 1), where S's form indices
-    stand.  Each form reads g_j = Q_j(x) - lam*x_j (``QuadraticSystem``), so
-    x != 0 solves the system exactly when Q(x) = lam*x, with lam =
-    Q_lead(x) at the leftmost nonzero coordinate of x (scaled to 1).
-    ``fields.ENUMERATION_BUDGET`` bounds the points swept, |P^{n-1}(E)| + 1
-    (``_check_budget``), and with them the sweep's time; it is checked before
-    GF(p^k) is built.  For n >= 2 ``ffenum.solve_system`` sweeps the
-    directions x in P^{n-1}(E) and the rows, an (m, n+1) int64 array in
-    canonical order, pass ``_verify_solutions``.  P^0 is the single direction
-    (1), and g_0 = c*x_0^2 - lam*x_0 vanishes at (1 : c) over every extension,
-    so for n = 1 E is S.field, never built larger, and the rows are the one
-    row [1, index of c], an object array of Python ints (the indices of
-    GF(3^40) do not fit int64).
+    E is A.field, or with k given GF(p^k) over the prime A.field
+    (UnsupportedField otherwise, ValueError for k < 1), where A's indices
+    stand; TypeError unless A is a StructureTensor.  A direction x solves
+    with lam = (x*x)_lead at the leftmost nonzero coordinate of x (scaled to
+    1).  ``fields.ENUMERATION_BUDGET`` bounds the points swept, |P^{n-1}(E)|
+    + 1 (``_check_budget``), and with them the sweep's time; it is checked
+    before GF(p^k) is built.  For n >= 2 the tensor becomes base-p digits
+    once, T; ``ffenum.solve_system`` sweeps the directions x in P^{n-1}(E)
+    on T, and the rows, an (m, n+1) int64 array in canonical order, pass
+    ``_verify_solutions`` on T.  P^0 is the single direction (1), and 1*1 =
+    c*1 with c = alpha[0][0][0] over every extension, so for n = 1 E is
+    A.field, never built larger, and the rows are the one row [1, index of
+    c], an object array of Python ints (the indices of GF(3^40) do not fit
+    int64).
     """
     import numpy as np
 
-    F = S.field
+    if not isinstance(A, StructureTensor):
+        raise TypeError("expected a StructureTensor or QuadraticSystem")
+    F, n = A.field, A.dim
     if k is None:
         if not F.finite:
             raise UnsupportedField("exhaustive enumeration needs a finite field")
@@ -320,13 +326,13 @@ def _solution_rows(S, k=None):
         raise UnsupportedField("extension counts need a prime base field")
     elif k < 1:
         raise ValueError("extension degree must be >= 1")
-    _check_budget(F.order**k, S.n)
-    if S.n == 1:
-        return F, np.array([[1, F.scalar_index(S.tensor.alpha[0][0][0])]], dtype=object)
+    _check_budget(F.order**k, n)
+    if n == 1:
+        return F, np.array([[1, F.scalar_index(A.alpha[0][0][0])]], dtype=object)
     E = finite_field(F.p**k) if k > 1 else F
-    forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
-    rows = ffenum.solve_system(E, S.n, forms_idx)
-    _verify_solutions(S, rows, E)
+    T = ffenum.digit_ops(F).scalar_digits(A.alpha)
+    rows = ffenum.solve_system(E, n, T)
+    _verify_solutions(T, rows, E)
     return E, rows
 
 
@@ -347,7 +353,7 @@ def solve_exhaustive(S):
     sweep, its budget and its checks), in the order of the canonical
     enumeration of P^n; the trivial point (0 : ... : 0 : 1) comes last.
     """
-    E, rows = _solution_rows(S)
+    E, rows = _solution_rows(S.tensor)
     return _nontrivial_solutions(E, rows.tolist()) + [_trivial_solution(E, S.n)]
 
 
@@ -583,14 +589,6 @@ def find_absolute_nilpotent_real(A, cfg=None):
 # ---------------------------------------------------------------------------
 
 
-def _as_system(A_or_S):
-    if isinstance(A_or_S, StructureTensor):
-        return build_system(A_or_S)
-    if isinstance(A_or_S, QuadraticSystem):
-        return A_or_S
-    raise TypeError("expected a StructureTensor or QuadraticSystem")
-
-
 def _subfield_count(E, rows, d):
     """How many index rows over E = GF(p^k) lie over GF(p^d), d | k: those whose
     x, lead 1, Frobenius^d fixes (Lidl and Niederreiter, *Finite Fields*, 2.3),
@@ -610,8 +608,9 @@ def _subfield_count(E, rows, d):
 
 def count_solutions_extension(A_or_S, k):
     """Distinct projective solutions over F_{p^k} (multiplicities not counted),
-    swept and verified on the GF(p) system as it stands (``_solution_rows``)."""
-    return len(_solution_rows(_as_system(A_or_S), k)[1]) + 1  # the rows and the trivial point
+    swept and verified on the GF(p) algebra, a system's tensor, as it stands
+    (``_solution_rows``)."""
+    return len(_solution_rows(getattr(A_or_S, "tensor", A_or_S), k)[1]) + 1  # and the trivial point
 
 
 class GenericityVerdict(Enum):
@@ -636,19 +635,19 @@ def genericity_probe(A_or_S, cfg=None):
     Verdicts are heuristic, hence "Likely".
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    S = _as_system(A_or_S)
-    bound = 2**S.n
+    A = getattr(A_or_S, "tensor", A_or_S)  # a system's algebra
     half, counts = cfg.k_max // 2, dict.fromkeys(range(1, cfg.k_max + 1))
     for k in range(cfg.k_max, half, -1):
-        E, rows = _solution_rows(S, k)
+        E, rows = _solution_rows(A, k)
         counts[k] = len(rows) + 1
         for d in range(1, half + 1):
             if d * (half // d + 1) == k:
                 counts[d] = _subfield_count(E, rows, d) + 1
+    bound = 2**A.dim
     verdict = GenericityVerdict.LIKELY_POSITIVE_DIMENSIONAL
     if max(counts.values()) <= bound:
         verdict = GenericityVerdict.LIKELY_GENERIC
-    return ProbeReport(S.field.p, counts, verdict, bound)
+    return ProbeReport(A.field.p, counts, verdict, bound)
 
 
 def draw_perturbation(F, n, rng):

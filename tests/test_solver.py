@@ -91,6 +91,13 @@ def system_over(S, E):
     return build_system(StructureTensor(E, alpha))
 
 
+def tensor_digits(S):
+    """The digits T of S's structure constants that the sweep and the check read."""
+    from quadalg import ffenum
+
+    return ffenum.digit_ops(S.field).scalar_digits(S.tensor.alpha)
+
+
 # ---------------------------------------------------------------------------
 # system construction
 # ---------------------------------------------------------------------------
@@ -282,6 +289,17 @@ def test_exhaustive_rejects_infinite_fields():
         solve_exhaustive(build_system(zero_algebra(Q, 2)))
 
 
+def cancelling_tensor(F, n, rng):
+    """A random tensor with alpha[k][i][j] = -alpha[i][k][j] for i < k: every
+    x_i*x_k coefficient of the squaring map, i < k, is zero, so a fold of the
+    tensor that skips the transposed entry or doubles the diagonal is seen."""
+    al = [[list(row) for row in plane] for plane in random_structure_tensor(F, n, rng, commutative=False).alpha]
+    for i, k, j in itertools.product(range(n), repeat=3):
+        if i < k:
+            al[k][i][j] = F.neg(al[i][k][j])
+    return StructureTensor(F, al)
+
+
 def test_exhaustive_matches_scalar_reference(monkeypatch):
     # solve_exhaustive sweeps through the ffenum index backend; the scalar
     # loop over projective_points is the independent reference
@@ -307,6 +325,8 @@ def test_exhaustive_matches_scalar_reference(monkeypatch):
             systems += [
                 perturb_system(S, *draw_perturbation(F, n, rng)) for S in systems
             ]
+        if F.order in (5, 9) and n > 1:
+            systems.append(build_system(cancelling_tensor(F, n, rng)))
         for S in systems:
             ref = [pt for pt in projective_points(F, n) if S.is_solution(pt)]
             assert [s.coords for s in solve_exhaustive(S)] == ref
@@ -428,9 +448,7 @@ def test_sweep_rows_match_pinned_digests(system, shape, digest):
         A = random_structure_tensor(F, int(rest[0]), random.Random(int(rest[1])), commutative=False)
     else:
         A = zero_algebra(F, int(rest[0]))
-    S = build_system(A)
-    forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
-    rows = ffenum.solve_system(F, S.n, forms_idx)
+    rows = ffenum.solve_system(F, A.dim, tensor_digits(build_system(A)))
     assert rows.dtype.str == "<i8" and rows.shape == shape
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
@@ -504,36 +522,7 @@ def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p)
             if all(v == vals[0] * xj % p for v, xj in zip(vals, x)):
                 want.append([*x, vals[0]])
         assert planted in (None, len(want))
-        assert ffenum.solve_system(F, 3, forms_idx).tolist() == want
-
-
-@pytest.mark.parametrize("q, n", [(7, 3), (25, 2)])
-def test_sweep_reads_a_pair_in_either_order_and_sums_repeats(q, n):
-    # each x_i*x_l coefficient c, i < l < n, split as a at (i, l) and c - a at
-    # (l, i), or a third of the time written at (l, i) alone; the squares and
-    # the lam terms are kept as they are
-    from quadalg import ffenum
-
-    F = finite_field(q)
-    rng = random.Random(q)
-    S = build_system(random_structure_tensor(F, n, rng, commutative=False))
-    split = []
-    for form in S.forms:
-        out = {key: c for key, c in form.items() if key[0] == key[1] or key[1] == n}
-        for i, l in itertools.combinations(range(n), 2):
-            c, a = form.get((i, l), F.zero()), F.random(rng)
-            if rng.random() < 1 / 3:
-                out[(l, i)] = c
-            else:
-                out[(i, l)], out[(l, i)] = a, F.sub(c, a)
-        split.append(out)
-    assert any(i > l for form in split for i, l in form)
-
-    def index(forms):
-        return [{key: F.scalar_index(c) for key, c in form.items()} for form in forms]
-
-    rows = ffenum.solve_system(F, n, index(split))
-    assert len(rows) and rows.tolist() == ffenum.solve_system(F, n, index(S.forms)).tolist()
+        assert ffenum.solve_system(F, 3, tensor_digits(S)).tolist() == want
 
 
 def test_digit_matrix_refuses_sums_past_2_53():
@@ -611,6 +600,18 @@ def _sweep_width(S):
     return getattr(S.field, "degree", 1) * S.n
 
 
+def test_edited_forms_leave_the_sweep_unchanged():
+    # the forms are a scalar view of the tensor: the sweep and its check read
+    # the tensor, so an edit of form 0 after construction changes evaluate
+    # but not the rows solve_exhaustive returns
+    A = random_structure_tensor(F5, 3, random.Random(2), commutative=False)
+    want = [s.coords for s in solve_exhaustive(build_system(A))]
+    S = build_system(A)
+    S.forms[0][(0, 1)] = F5.add(S.forms[0].get((0, 1), 0), 1)
+    assert S.evaluate((1, 1, 0, 0)) != S.residual_via_tensor((1, 1, 0, 0))
+    assert [s.coords for s in solve_exhaustive(S)] == want
+
+
 def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
     # element budgets from 1 row up to the whole sweep, over GF(5) (one digit),
     # GF(9), GF(25) and GF(27).  The budget also sets the suffix length m, so the
@@ -661,7 +662,7 @@ def _verifier_accepts(S, rows):
     import numpy as np
 
     try:
-        solver._verify_solutions(S, np.array(rows, dtype=np.int64).reshape(-1, S.n + 1))
+        solver._verify_solutions(tensor_digits(S), np.array(rows, dtype=np.int64).reshape(-1, S.n + 1), S.field)
     except RuntimeError:
         return False
     return True
@@ -688,8 +689,7 @@ def test_verifier_agrees_with_the_scalar_oracle(q):
         systems += [S, perturb_system(S, *draw_perturbation(F, n, rng))]
     checked = 0
     for S in systems:
-        forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
-        rows = ffenum.solve_system(F, n, forms_idx).tolist()
+        rows = ffenum.solve_system(F, n, tensor_digits(S)).tolist()
         assert _verifier_accepts(S, rows)
         # a solution with lam moved, and uniformly random rows
         rows += [row[:-1] + [(row[-1] + 1) % q] for row in rows[:5]]
@@ -707,13 +707,13 @@ def test_verifier_names_a_planted_bad_row():
 
     F = finite_field(25)
     S = build_system(zero_algebra(F, 3))
-    rows = np.array(solver._solution_rows(S)[1])
+    rows = np.array(solver._solution_rows(S.tensor)[1])
     bad = rows.copy()
     bad[100, -1] = 7  # lam != 0 at a point of the zero algebra
     pt = tuple(map(F.scalar_from_index, bad[100].tolist()))
     with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
-        solver._verify_solutions(S, bad)
-    solver._verify_solutions(S, rows)
+        solver._verify_solutions(tensor_digits(S), bad, F)
+    solver._verify_solutions(tensor_digits(S), rows, F)
 
 
 def test_verifier_has_no_int64_overflow_near_1e7():
@@ -769,10 +769,10 @@ def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
                 ref = [pt for pt in projective_points(T.field, n) if T.is_solution(pt)]
                 assert [s.coords for s in solve_exhaustive(T)] == ref
                 assert count_solutions_extension(S, k) == len(ref)
-        rows = np.array(solver._solution_rows(build_system(zero_algebra(F5, 3)))[1])
+        rows = np.array(solver._solution_rows(zero_algebra(F5, 3))[1])
         rows[-1, -1] = 1  # lam = 1 at a point of the zero algebra
         with pytest.raises(RuntimeError):
-            solver._verify_solutions(build_system(zero_algebra(F5, 3)), rows)
+            solver._verify_solutions(tensor_digits(build_system(zero_algebra(F5, 3))), rows, F5)
 
 
 def test_counting_builds_no_field_scalars(monkeypatch):
@@ -1047,6 +1047,18 @@ def test_extension_counts_are_galois_stable_above_2_16():
         assert count_solutions_extension(S, 7) == count_solutions_extension(S, 1)
 
 
+def test_counts_take_an_algebra_or_its_system():
+    A = random_structure_tensor(F5, 2, random.Random(71), commutative=False)
+    S = build_system(A)
+    assert count_solutions_extension(S, 2) == count_solutions_extension(A, 2)
+    assert genericity_probe(S) == genericity_probe(A)
+    for other in (A.alpha, SimpleNamespace(field=F5, dim=2, alpha=A.alpha)):
+        with pytest.raises(TypeError):
+            count_solutions_extension(other, 2)
+        with pytest.raises(TypeError):
+            genericity_probe(other)
+
+
 def test_extension_counts_require_prime_base():
     with pytest.raises(UnsupportedField):
         count_solutions_extension(zero_algebra(finite_field(4), 2), 2)
@@ -1106,11 +1118,11 @@ def test_extension_sweep_on_prime_indices_matches_the_rebuilt_system(p):
                 continue  # 10^5 or more directions a system
             for S in systems:
                 T = system_over(S, E)
-                want = solver._solution_rows(T)[1]
+                want = solver._solution_rows(T.tensor)[1]
                 if (E.order ** (n + 1) - 1) // (E.order - 1) <= 3000:
                     ref = [pt for pt in projective_points(E, n) if T.is_solution(pt)]
                     assert [tuple(map(E.scalar_from_index, r)) for r in want.tolist()] == ref[:-1]
-                swept, rows = solver._solution_rows(S, k)
+                swept, rows = solver._solution_rows(S.tensor, k)
                 assert swept is E
                 assert rows.dtype == want.dtype and np.array_equal(rows, want), (p, n, k)
                 assert count_solutions_extension(S, k) == len(want) + 1
@@ -1126,14 +1138,14 @@ def test_extension_verifier_refuses_a_wrong_digit_above_digit_0(q):
     E = finite_field(q)
     p = E.base.p
     for S in _prime_systems(p, 2, random.Random(q)):
-        rows = solver._solution_rows(S, E.degree)[1]
+        rows = solver._solution_rows(S.tensor, E.degree)[1]
         for i in sorted({0, len(rows) // 2, len(rows) - 1}) if len(rows) else ():
             bad = rows.copy()
             bad[i, -1] = (bad[i, -1] + p) % q
             assert (bad % p == rows % p).all()
             pt = tuple(map(E.scalar_from_index, bad[i].tolist()))
             with pytest.raises(RuntimeError, match=re.escape(repr(pt))):
-                solver._verify_solutions(S, bad, E)
+                solver._verify_solutions(tensor_digits(S), bad, E)
 
 
 def test_probe_checks_its_budget_before_any_sweep(monkeypatch):
