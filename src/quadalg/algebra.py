@@ -444,15 +444,11 @@ def classify_spectrum(A, cfg=None):
 def _classify_rationals(A):
     from . import solver
 
-    if A.dim == 1:
-        # x*x = alpha*x for every x, so the one direction (1) has lam = alpha
-        sols = [solver.ProjectiveSolution((A.field.one(), A.alpha[0][0][0]), trivial=False)]
-    elif A.dim == 2:
-        # infinite family: the samples hold an axis with lam != 0 whenever
-        # lam is not identically 0, and the kernel of lam
-        sols = solver.solve_exact_dim2(A).solutions
-    else:
+    if A.dim > 2:
         raise UnsupportedField("rational spectrum classification needs dim <= 2")
+    # an infinite family at n = 2: the samples hold an axis with lam != 0
+    # whenever lam is not identically 0, and the kernel of lam
+    sols = [solver._dim1_solution(A)] if A.dim == 1 else solver.solve_exact_dim2(A).solutions
     return _report_from_solutions(A, sols)
 
 

@@ -6,9 +6,8 @@ n homogeneous quadratic forms in the n+1 projective unknowns
 
     g_j = sum_ik alpha[i][k][j] xi_i xi_k  -  lam xi_j
 
-A system is built from the structure tensor alone (``QuadraticSystem``, or
-``build_system``), and every list of forms Q_j(x) - lam xi_j is some
-algebra's system: Q_j's xi_i xi_k coefficient at alpha[i][k][j], i <= k.
+A system is its algebra's structure tensor (``QuadraticSystem``, or
+``build_system``): g_j is read off the squaring map, (x*x)_j - lam xi_j.
 A perturbed system, g_j - eps_j * phi_j(x)^2, is the system of the algebra
 alpha[i][k][j] - eps_j * phi_j[i] * phi_j[k] (``perturb_system``).  The
 point (0 : ... : 0 : 1) always solves the system and is called trivial;
@@ -29,9 +28,9 @@ every nontrivial solution gives an eigenvector.  Engines:
                                  bounded-count heuristic, which reads k <=
                                  k_max/2 off the larger sweeps by Frobenius
 
-The finite-field sweep reads the algebra's structure tensor, not the forms,
-and every row it returns is re-verified on arrays from the same tensor by a
-check that folds and evaluates it its own way (``_verify_solutions``).
+The finite-field sweep reads the algebra's structure tensor, and every row
+it returns is re-verified on arrays from the same tensor by a check that
+folds and evaluates it its own way (``_verify_solutions``).
 """
 
 import math
@@ -109,54 +108,21 @@ def normalize_point(F, coords):
 
 
 class QuadraticSystem:
-    """The eigenvector system of an algebra, built from its structure tensor
-    alone: the n forms g_j as sparse quadratic monomial maps over n+1
-    variables, with the trivial solution built in.
-
-    ``forms[j]`` maps a variable pair (i, k), i <= k, to its coefficient;
-    variable n is lam.  Form j holds -1 at (j, n) and, at each pair i <= k
-    where it is nonzero, alpha[i][i][j] if i = k, else alpha[i][k][j] +
-    alpha[k][i][j], an entry the field calls zero dropped before the pair is
-    summed; so every form reads g_j = Q_j(x) - lam*x_j.  The order of a form's
-    keys is not part of the contract.  The forms are a scalar view of
-    ``tensor`` that only ``evaluate``, ``is_solution`` and
-    ``affine_jacobian_at_origin`` read; the finite-field engine reads the
-    tensor itself.
+    """The eigenvector system of an algebra: its field, its dimension n and
+    its structure tensor, nothing else.  The n forms over the n+1 variables
+    (xi, lam) are g_j = (xi*xi)_j - lam*xi_j, read off the tensor's squaring
+    map; the trivial solution is built in.
     """
 
-    __slots__ = ("field", "n", "forms", "tensor")
+    __slots__ = ("field", "n", "tensor")
 
     def __init__(self, A):
-        F, n, al = A.field, A.dim, A.alpha
-        is_zero, mone = F.is_zero, F.neg(F.one())
-        forms = []
-        for j in range(n):
-            form = {}
-            for i in range(n):
-                for k in range(i, n):
-                    a, b = al[i][k][j], al[k][i][j]
-                    c = b if is_zero(a) else a if i == k or is_zero(b) else F.add(a, b)
-                    if not is_zero(c):
-                        form[(i, k)] = c
-            form[(j, n)] = mone
-            forms.append(form)
-        self.field, self.n, self.forms, self.tensor = F, n, tuple(forms), A
+        self.field, self.n, self.tensor = A.field, A.dim, A
 
     def evaluate(self, point):
         """Values (g_1, ..., g_n) at a projective point of length n+1."""
         if len(point) != self.n + 1:
             raise DimensionMismatch(f"expected {self.n + 1} coordinates")
-        F = self.field
-        out = []
-        for form in self.forms:
-            acc = F.zero()
-            for (i, k), c in form.items():
-                acc = F.add(acc, F.mul(c, F.mul(point[i], point[k])))
-            out.append(acc)
-        return tuple(out)
-
-    def residual_via_tensor(self, point):
-        """Same values computed from the structure tensor (independent route)."""
         F = self.field
         x, lam = point[: self.n], point[self.n]
         v = self.tensor.square(x)
@@ -204,13 +170,17 @@ def perturb_system(S, eps, phis):
 
 
 def affine_jacobian_at_origin(S):
-    """Jacobian of f_j(x) = g_j(x, 1) at x = 0.
+    """Jacobian of f_j(x) = g_j(x, 1) at x = 0, read through ``S.evaluate``.
 
-    At (0 : ... : 0 : 1) only the xi_i*lam terms have a nonzero
-    xi_i-derivative, so entry (j, i) is the coefficient of (i, n) in form j.
+    g_j is quadratic and (0 : ... : 0 : 1) solves it, so along e_i its only
+    term in lam is xi_i*lam, and column i is g(e_i, 1) - g(e_i, 0): exact in
+    every characteristic, with no division.
     """
     F, n = S.field, S.n
-    return [[form.get((i, n), F.zero()) for i in range(n)] for form in S.forms]
+    zero, one = F.zero(), F.one()
+    basis = [tuple(one if l == i else zero for l in range(n)) for i in range(n)]
+    cols = [map(F.sub, S.evaluate(e + (one,)), S.evaluate(e + (zero,))) for e in basis]
+    return [list(row) for row in zip(*cols)]
 
 
 def trivial_jacobian_check(S):
@@ -218,7 +188,8 @@ def trivial_jacobian_check(S):
 
     This holds by construction for every ``QuadraticSystem`` (the only linear
     part of f_j is -xi_j, and perturbations vanish to second order), so the
-    check validates the implementation rather than the mathematics.
+    check validates how ``evaluate`` implements the lam term rather than the
+    mathematics.
     """
     F = S.field
     zero, mone = F.zero(), F.neg(F.one())
@@ -307,11 +278,9 @@ def _solution_rows(A, k=None):
     before GF(p^k) is built.  For n >= 2 the tensor becomes base-p digits
     once, T; ``ffenum.solve_system`` sweeps the directions x in P^{n-1}(E)
     on T, and the rows, an (m, n+1) int64 array in canonical order, pass
-    ``_verify_solutions`` on T.  P^0 is the single direction (1), and 1*1 =
-    c*1 with c = alpha[0][0][0] over every extension, so for n = 1 E is
-    A.field, never built larger, and the rows are the one row [1, index of
-    c], an object array of Python ints (the indices of GF(3^40) do not fit
-    int64).
+    ``_verify_solutions`` on T.  For n = 1 E is A.field, never built larger,
+    and the rows are the indices of ``_dim1_solution``, an object array of
+    Python ints (the indices of GF(3^40) do not fit int64).
     """
     import numpy as np
 
@@ -328,12 +297,18 @@ def _solution_rows(A, k=None):
         raise ValueError("extension degree must be >= 1")
     _check_budget(F.order**k, n)
     if n == 1:
-        return F, np.array([[1, F.scalar_index(A.alpha[0][0][0])]], dtype=object)
+        return F, np.array([list(map(F.scalar_index, _dim1_solution(A).coords))], dtype=object)
     E = finite_field(F.p**k) if k > 1 else F
     T = ffenum.digit_ops(F).scalar_digits(A.alpha)
     rows = ffenum.solve_system(E, n, T)
     _verify_solutions(T, rows, E)
     return E, rows
+
+
+def _dim1_solution(A):
+    """The one nontrivial solution (1 : c) of a dim-1 algebra over its field and
+    every extension: P^0 is the one direction (1), and 1*1 = c*1, c = alpha[0][0][0]."""
+    return ProjectiveSolution((A.field.one(), A.alpha[0][0][0]), trivial=False)
 
 
 def _nontrivial_solutions(F, rows):

@@ -77,9 +77,10 @@ def projective_points(F, n):
 def form_cubic(S):
     """Coefficients, lowest first, of c(u) = Q_1(1, u) u - Q_2(1, u) for a dim-2
     system: (1 : u) is an eigen-direction exactly when c(u) = 0, and (0 : 1)
-    exactly when the u^3 coefficient is zero."""
-    F = S.field
-    q1, q2 = ([form.get(key, F.zero()) for key in ((0, 0), (0, 1), (1, 1))] for form in S.forms)
+    exactly when the u^3 coefficient is zero.  Q_j's coefficients are read off
+    alpha: 1, u and u^2 at e1*e1, e1*e2 + e2*e1 and e2*e2."""
+    F, al = S.field, S.tensor.alpha
+    q1, q2 = ([al[0][0][j], F.add(al[0][1][j], al[1][0][j]), al[1][1][j]] for j in (0, 1))
     return [F.neg(q2[0]), F.sub(q1[0], q2[1]), F.sub(q1[1], q2[2]), q1[2]]
 
 
@@ -131,6 +132,8 @@ def test_complex_idempotent_point():
 
 
 def test_evaluate_agrees_with_tensor_route():
+    # evaluate against sum_ik alpha[i][k][j] x_i x_k - lam x_j written out
+    # over the tensor, for an algebra and its perturbation
     rng = random.Random(37)
     for F in (Q, F5):
         A = random_structure_tensor(F, 3, rng, commutative=False)
@@ -139,59 +142,11 @@ def test_evaluate_agrees_with_tensor_route():
         P = perturb_system(S, eps, phis)
         for _ in range(25):
             pt = tuple(F.random(rng) for _ in range(4))
-            assert S.evaluate(pt) == S.residual_via_tensor(pt)
-            assert P.evaluate(pt) == P.residual_via_tensor(pt)
-
-
-def forms_by_accumulation(A):
-    """The forms oracle: the tensor's nonzero entries summed into their pair
-    i <= k one by one, then the sums the field calls zero dropped."""
-    F, n = A.field, A.dim
-    forms = [{} for _ in range(n)]
-    for i, k, j, c in A._nonzeros:
-        key = (min(i, k), max(i, k))
-        forms[j][key] = F.add(forms[j].get(key, F.zero()), c)
-    forms = [{k: v for k, v in form.items() if not F.is_zero(v)} for form in forms]
-    for j, form in enumerate(forms):
-        form[(j, n)] = F.neg(F.one())
-    return forms
-
-
-def test_build_system_matches_the_accumulated_forms():
-    # 24 seeded tensors per field and n = 1..6, a third of the entries zero
-    # and a quarter of the tensors with cancelling pairs alpha[k][i][j] =
-    # -alpha[i][k][j].  Over R (tol 1e-10) most entries lie inside tol at
-    # 4e-11 to 7e-11, where a pair sums past tol: such an entry is zero and
-    # must be dropped before its pair is summed.  repr tells floats apart
-    # bit for bit, and Fractions from ints.
-    R10 = Reals(1e-10)
-    fields = [F5, finite_field(9), Q, R10, LaurentSeries(Q)]
-    rng = random.Random(59)
-
-    def entry(F):
-        if rng.random() < 1 / 3:
-            return F.zero()
-        if F is R10 and rng.random() < 0.75:
-            return rng.choice((-1, 1)) * rng.uniform(4e-11, 7e-11)
-        return F.random(rng)
-
-    checked = 0
-    for F in fields:
-        for n in range(1, 7):
-            for draw in range(24):
-                al = [[[entry(F) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                if draw % 4 == 0:
-                    for i, k, j in itertools.product(range(n), repeat=3):
-                        if i < k:
-                            al[k][i][j] = F.neg(al[i][k][j])
-                A = StructureTensor(F, al)
-                got, want = build_system(A).forms, forms_by_accumulation(A)
-                assert list(got) == want
-                assert [{k: repr(v) for k, v in f.items()} for f in got] == [
-                    {k: repr(v) for k, v in f.items()} for f in want
-                ]
-                checked += 1
-    assert checked >= 720
+            for T in (S, P):
+                al = T.tensor.alpha
+                sq = [sum(F.mul(al[i][k][j], F.mul(pt[i], pt[k])) for i in range(3) for k in range(3))
+                      for j in range(3)]
+                assert list(T.evaluate(pt)) == [F.sub(sq[j], F.mul(pt[3], pt[j])) for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +171,28 @@ def test_jacobian_minus_identity_survives_perturbation():
 
 
 def test_jacobian_check_detects_a_broken_system():
-    # every QuadraticSystem reads Q_j(x) - lam*xi_j by construction, so the
-    # broken forms stand on an object with the attributes the check reads
+    # every QuadraticSystem reads (x*x)_j - lam*xi_j by construction, so the
+    # broken values stand on an object with the attributes the check reads
     S = build_system(diagonal_f5())
 
-    def system(forms):
-        return SimpleNamespace(field=F5, n=2, forms=forms)
+    def system(lam_terms):
+        def evaluate(pt):
+            x, lam = pt[:2], pt[2]
+            return tuple((v - w) % 5 for v, w in zip(S.tensor.square(x), lam_terms(x, lam)))
+
+        return SimpleNamespace(field=F5, n=2, evaluate=evaluate)
 
     # dropping the -lambda*xi_j terms makes the Jacobian at the origin zero
-    broken = system([{k: v for k, v in f.items() if k[1] != 2} for f in S.forms])
-    # a lam coefficient of 2 at (0, n), and an extra (1, n) term in form 0
-    doubled = system([{**S.forms[0], (0, 2): 2}, S.forms[1]])
-    extra = system([{**S.forms[0], (1, 2): 1}, S.forms[1]])
-    assert trivial_jacobian_check(system(S.forms))
+    broken = system(lambda x, lam: (0, 0))
+    # -lambda*xi_j doubled, and an extra lam*xi_1 term in form 0
+    doubled = system(lambda x, lam: (2 * lam * x[0], 2 * lam * x[1]))
+    extra = system(lambda x, lam: (lam * x[0] - lam * x[1], lam * x[1]))
+    assert trivial_jacobian_check(system(lambda x, lam: (lam * x[0], lam * x[1])))
+    assert trivial_jacobian_check(S)
     for bad in (broken, doubled, extra):
         assert not trivial_jacobian_check(bad)
+    # row j is form j, column i the derivative along xi_i
+    assert solver.affine_jacobian_at_origin(extra) == [[4, 1], [0, 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +457,7 @@ def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p)
     # at n = 3 and these primes the suffix is again one coordinate (m = 1),
     # but P^2 has 4e10 directions.  The sweep is run on one tile of its own
     # rows instead: prefixes (1, a) and suffixes w near 0 and p - 1, where
-    # w^2 (p - 1) is largest, every row checked against the forms in Python
+    # w^2 (p - 1) is largest, every row checked against alpha in Python
     # integers.  With every structure constant p - 1, Q_j(x) = -(x_0 + x_1 +
     # x_2)^2, so the tile holds the 24 hits (1, a, -1 - a) with lam = 0, and
     # (1, 1, 1) with lam = -9.
@@ -515,10 +477,10 @@ def test_sweep_tiles_are_exact_on_both_sides_of_the_bound_at_n_3(monkeypatch, p)
     systems = [build_system(StructureTensor(F, [[[p - 1] * 3] * 3] * 3))]
     systems += [build_system(random_structure_tensor(F, 3, rng, commutative=c)) for c in (True, False)]
     for S, planted in zip(systems, (25, None, None)):
-        forms_idx = [{key: F.scalar_index(c) for key, c in form.items()} for form in S.forms]
+        al = [[[F.scalar_index(c) for c in row] for row in plane] for plane in S.tensor.alpha]
         want = []
         for x in itertools.product([1], prefixes.tolist(), suffixes.tolist()):
-            vals = [sum(c * x[i] * x[l] for (i, l), c in form.items() if l < 3) % p for form in forms_idx]
+            vals = [sum(al[i][l][j] * x[i] * x[l] for i in range(3) for l in range(3)) % p for j in range(3)]
             if all(v == vals[0] * xj % p for v, xj in zip(vals, x)):
                 want.append([*x, vals[0]])
         assert planted in (None, len(want))
@@ -600,18 +562,6 @@ def _sweep_width(S):
     return getattr(S.field, "degree", 1) * S.n
 
 
-def test_edited_forms_leave_the_sweep_unchanged():
-    # the forms are a scalar view of the tensor: the sweep and its check read
-    # the tensor, so an edit of form 0 after construction changes evaluate
-    # but not the rows solve_exhaustive returns
-    A = random_structure_tensor(F5, 3, random.Random(2), commutative=False)
-    want = [s.coords for s in solve_exhaustive(build_system(A))]
-    S = build_system(A)
-    S.forms[0][(0, 1)] = F5.add(S.forms[0].get((0, 1), 0), 1)
-    assert S.evaluate((1, 1, 0, 0)) != S.residual_via_tensor((1, 1, 0, 0))
-    assert [s.coords for s in solve_exhaustive(S)] == want
-
-
 def test_sweep_chunk_boundaries_match_the_reference(monkeypatch):
     # element budgets from 1 row up to the whole sweep, over GF(5) (one digit),
     # GF(9), GF(25) and GF(27).  The budget also sets the suffix length m, so the
@@ -668,14 +618,13 @@ def _verifier_accepts(S, rows):
     return True
 
 
-def _solves_via_tensor(S, row):
-    F = S.field
-    return all(F.is_zero(v) for v in S.residual_via_tensor(tuple(map(F.scalar_from_index, row))))
+def _solves(S, row):
+    return S.is_solution(tuple(map(S.field.scalar_from_index, row)))
 
 
 @pytest.mark.parametrize("q", [5, 1000003, 25, 625, 5**7])
 def test_verifier_agrees_with_the_scalar_oracle(q):
-    # the array verifier against residual_via_tensor, row by row, on the
+    # the array verifier against the scalar is_solution, row by row, on the
     # sweep's rows (taken before any verification) and on random rows, over
     # prime fields and extension fields (25, 625, 5^7)
     from quadalg import ffenum
@@ -695,7 +644,7 @@ def test_verifier_agrees_with_the_scalar_oracle(q):
         rows += [row[:-1] + [(row[-1] + 1) % q] for row in rows[:5]]
         rows += [[rng.randrange(q) for _ in range(n + 1)] for _ in range(60)]
         for row in rows:
-            assert _verifier_accepts(S, [row]) == _solves_via_tensor(S, row), row
+            assert _verifier_accepts(S, [row]) == _solves(S, row), row
             checked += 1
     assert checked >= 240
 
@@ -745,7 +694,7 @@ def test_verifier_has_no_int64_overflow_near_1e7():
         assert _verifier_accepts(P, [rows[0]])
         for T in (S, P):
             for row in rows:
-                assert _verifier_accepts(T, [row]) == _solves_via_tensor(T, row), row
+                assert _verifier_accepts(T, [row]) == _solves(T, row), row
 
 
 def test_verifier_chunks_end_inside_lead_blocks(monkeypatch):
@@ -1238,7 +1187,7 @@ def test_zero_perturbation_is_identity():
     A = diagonal_f5()
     S = build_system(A)
     P = perturb_system(S, [0, 0], [(0, 0), (0, 0)])
-    assert P.forms == S.forms
+    assert P.tensor == S.tensor
 
 
 def test_laurent_perturbation_specializes_back():
@@ -1278,25 +1227,12 @@ def test_perturbation_valuation_guards():
         perturb_system(S, [L.gen()], [(L.series(-1, [1]),)])  # phi has a pole
 
 
-def perturbed_forms_by_expansion(S, eps, phis):
-    """The perturbation oracle: S's forms with eps_j * phi_j(x)^2 expanded into
-    form j, 2 eps_j phi_ji phi_jk at the pair i < k, then the sums the field
-    calls zero dropped."""
-    F, n = S.field, S.n
-    forms = [dict(form) for form in S.forms]
-    for form, e, phi in zip(forms, eps, phis):
-        for i in range(n):
-            for k in range(i, n):
-                c = F.mul(e, F.mul(phi[i], phi[k]))
-                form[(i, k)] = F.sub(form.get((i, k), F.zero()), c if i == k else F.add(c, c))
-    return [{key: c for key, c in form.items() if not F.is_zero(c)} for form in forms]
-
-
 def test_perturbed_forms_match_the_expanded_perturbation():
-    # eps_j = 0 for some forms of every other draw, and for all forms of
-    # every fifth
+    # P's values against S's minus eps_j * phi_j(x)^2 at seeded points, eps_j
+    # = 0 for some forms of every other draw and for all forms of every
+    # fifth
     fields = [F5, finite_field(9), Q, LaurentSeries(Q, 8)]
-    rng = random.Random(101)
+    rng, points = random.Random(101), random.Random(102)
     checked = 0
     for F in fields:
         for n in range(1, 5):
@@ -1308,7 +1244,13 @@ def test_perturbed_forms_match_the_expanded_perturbation():
                 elif draw % 2:
                     eps = [F.zero() if rng.random() < 0.5 else e for e in eps]
                 P = perturb_system(S, eps, phis)
-                assert list(P.forms) == perturbed_forms_by_expansion(S, eps, phis)
+                for _ in range(4):
+                    pt = tuple(F.random(points) for _ in range(n + 1))
+                    for j, (v, w) in enumerate(zip(P.evaluate(pt), S.evaluate(pt))):
+                        phi_x = F.zero()
+                        for c, xi in zip(phis[j], pt):
+                            phi_x = F.add(phi_x, F.mul(c, xi))
+                        assert F.eq(v, F.sub(w, F.mul(eps[j], F.mul(phi_x, phi_x))))
                 assert trivial_jacobian_check(P)
                 checked += 1
     assert checked == 160
